@@ -556,11 +556,12 @@ let farm verbose seed nodes items step_at =
       ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.06) ~items ())
       ~horizon:1e5 ()
   in
-  let module AF = Aspipe_core.Adaptive_farm in
-  let static = AF.run ~config:{ AF.default_config with adapt = false } ~scenario ~seed () in
-  let adaptive = AF.run ~scenario ~seed () in
-  Format.printf "static:   %a@." AF.pp_report static;
-  Format.printf "adaptive: %a@." AF.pp_report adaptive
+  let module AR = Aspipe_core.Adaptive_repl in
+  let config = { AR.default_config with dispatch = Aspipe_skel.Repl_sim.Round_robin } in
+  let static = AR.run ~config:{ config with adapt = false } ~scenario ~seed () in
+  let adaptive = AR.run ~config ~scenario ~seed () in
+  Format.printf "static:   %a@." AR.pp_report static;
+  Format.printf "adaptive: %a@." AR.pp_report adaptive
 
 let farm_cmd =
   let nodes = Arg.(value & opt int 6 & info [ "nodes" ] ~doc:"Grid size (speeds 14, 12.5, 11, ...).") in

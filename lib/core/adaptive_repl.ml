@@ -4,6 +4,8 @@ module Topology = Aspipe_grid.Topology
 module Node = Aspipe_grid.Node
 module Monitor = Aspipe_grid.Monitor
 module Trace = Aspipe_grid.Trace
+module Bus = Aspipe_obs.Bus
+module Event = Aspipe_obs.Event
 module Repl_sim = Aspipe_skel.Repl_sim
 module Costspec = Aspipe_model.Costspec
 module Repl_model = Aspipe_model.Repl_model
@@ -13,6 +15,7 @@ let log_src = Logs.Src.create "aspipe.repl" ~doc:"Adaptive replication engine"
 module Log = (val Logs.src_log log_src)
 
 type config = {
+  dispatch : Repl_sim.dispatch;
   monitor_every : float;
   evaluate_every : float;
   sensor : Monitor.sensor_spec;
@@ -25,6 +28,7 @@ type config = {
 
 let default_config =
   {
+    dispatch = Repl_sim.Least_loaded;
     monitor_every = 5.0;
     evaluate_every = 10.0;
     sensor = Monitor.default_sensor;
@@ -40,13 +44,16 @@ type report = {
   trace : Trace.t;
   initial_replicas : int list array;
   final_replicas : int list array;
+  history : (float * int list array) list;
   makespan : float;
   throughput : float;
-  reconfigurations : int;
   monitor_samples : int;
 }
 
 let run ?(config = default_config) ~scenario ~seed () =
+  let stages = scenario.Scenario.stages in
+  if config.dispatch = Repl_sim.Round_robin && Array.length stages <> 1 then
+    invalid_arg "Adaptive_repl.run: round-robin dispatch needs a one-stage scenario";
   let root_rng = Rng.create seed in
   let env_rng = Rng.split root_rng in
   let calib_rng = Rng.split root_rng in
@@ -54,11 +61,12 @@ let run ?(config = default_config) ~scenario ~seed () =
   let monitor_rng = Rng.split root_rng in
   let topo = Scenario.build scenario ~rng:env_rng in
   let engine = Topology.engine topo in
-  let stages = scenario.Scenario.stages in
+  let bus = Engine.bus engine in
   let processors = Topology.size topo in
   if processors < Array.length stages then
     invalid_arg "Adaptive_repl.run: need at least one node per stage";
   let budget = match config.budget with Some b -> b | None -> processors in
+  let dispatch = config.dispatch in
 
   let calibration =
     Calibration.run ~probes:config.probes ~measurement_noise:config.measurement_noise
@@ -74,39 +82,38 @@ let run ?(config = default_config) ~scenario ~seed () =
       (Calibration.work_vector calibration)
   in
   let initial_spec = spec_from (fun i -> Node.availability (Topology.node topo i)) in
-  let initial_replicas, initial_score =
-    Repl_model.best_replication initial_spec ~budget ~processors
+  let initial_replicas, _ =
+    Repl_model.best_replication ~dispatch initial_spec ~budget ~processors
   in
   let trace = Trace.create () in
   let sim =
-    Repl_sim.create ~rng:sim_rng ~topo ~stages ~replicas:initial_replicas
-      ~input:scenario.Scenario.input ~trace ()
+    Repl_sim.create ~dispatch ~trace ~rng:sim_rng ~topo ~stages ~replicas:initial_replicas
+      ~input:scenario.Scenario.input ()
   in
-  let adopted = ref initial_score in
-  let reconfigurations = ref 0 in
+  let history = ref [] in
   if config.adapt then
     Engine.periodic engine ~every:config.evaluate_every (fun () ->
         if Repl_sim.finished sim then false
         else begin
           let spec = spec_from (Monitor.node_forecast monitor) in
-          let candidate, score = Repl_model.best_replication spec ~budget ~processors in
+          let candidate, score = Repl_model.best_replication ~dispatch spec ~budget ~processors in
           let current = Repl_sim.replicas sim in
-          let current_score = Repl_model.throughput spec ~replicas:current in
+          let current_score = Repl_model.throughput ~dispatch spec ~replicas:current in
           if candidate <> current && score > current_score *. (1.0 +. config.min_gain) then begin
             Repl_sim.set_replicas sim candidate;
-            incr reconfigurations;
-            adopted := score;
+            history := (Engine.now engine, candidate) :: !history;
             Log.info (fun m ->
                 m "[%s] t=%.1f replica sets re-shaped (predicted %.2f -> %.2f items/s)"
                   scenario.Scenario.name (Engine.now engine) current_score score);
-            Trace.record_adaptation trace
-              {
-                Trace.at = Engine.now engine;
-                mapping_before = Array.map List.length current;
-                mapping_after = Array.map List.length candidate;
-                predicted_gain = score -. current_score;
-                migration_cost = 0.0;
-              }
+            if Bus.active bus then
+              Bus.emit bus
+                (Event.Adaptation_committed
+                   {
+                     mapping_before = Array.map List.length current;
+                     mapping_after = Array.map List.length candidate;
+                     predicted_gain = score -. current_score;
+                     migration_cost = 0.0;
+                   })
           end;
           true
         end);
@@ -116,9 +123,9 @@ let run ?(config = default_config) ~scenario ~seed () =
     trace;
     initial_replicas;
     final_replicas = Repl_sim.replicas sim;
+    history = List.rev !history;
     makespan = Trace.makespan trace;
     throughput = Trace.throughput trace;
-    reconfigurations = !reconfigurations;
     monitor_samples = Monitor.samples_taken monitor;
   }
 
@@ -132,4 +139,4 @@ let pp_report ppf r =
     "@[<v>replicated pipeline on %s: %a -> %a@ makespan %.2f s, throughput %.4f items/s, %d \
      reconfiguration(s)@]"
     r.scenario_name pp_sets r.initial_replicas pp_sets r.final_replicas r.makespan r.throughput
-    r.reconfigurations
+    (List.length r.history)

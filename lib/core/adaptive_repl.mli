@@ -1,5 +1,6 @@
 (** Adaptive stage replication: the pipeline with farmed stages, re-shaping
-    its replica sets at run time.
+    its replica sets at run time — the replication counterpart of
+    {!Adaptive}.
 
     Where {!Adaptive} moves whole stages between processors, this engine
     treats every stage as a (possibly singleton) farm and periodically
@@ -7,35 +8,48 @@
     monitors' forecasts ({!Aspipe_model.Repl_model.best_replication} over
     forecast-scaled rates). If a replica node degrades, the next allocation
     routes around it; if it recovers, it is re-admitted. Replica changes are
-    cheap (the deal is demand-driven and stateless), so the gain threshold is
-    the only brake. *)
+    cheap (the deal is stateless), so the gain threshold is the only brake.
+
+    A task farm is the one-stage case. Under a [Round_robin] deal the right
+    worker set is the fastest prefix of the nodes, since equal shares wait
+    on the slowest member: on a non-dedicated grid, evicting a degraded
+    worker {e raises} farm throughput, and re-admitting it once it recovers
+    raises it again. *)
 
 type config = {
+  dispatch : Aspipe_skel.Repl_sim.dispatch;
+      (** [Round_robin] requires a one-stage scenario *)
   monitor_every : float;
   evaluate_every : float;
   sensor : Aspipe_grid.Monitor.sensor_spec;
   probes : int;
   measurement_noise : float;
-  min_gain : float;
+  min_gain : float;  (** relative predicted-throughput gain to reconfigure *)
   budget : int option;  (** replica budget; default = number of nodes *)
-  adapt : bool;
+  adapt : bool;  (** [false] = static run with the initial replica sets *)
 }
 
 val default_config : config
+(** least-loaded, monitor 5 s / evaluate 10 s, default sensor, 5 probes,
+    1% noise, 10% min gain, budget = every node, adaptation on. *)
 
 type report = {
   scenario_name : string;
   trace : Aspipe_grid.Trace.t;
   initial_replicas : int list array;
   final_replicas : int list array;
+  history : (float * int list array) list;
+      (** reconfigurations: when, and the replica sets adopted, in time order *)
   makespan : float;
   throughput : float;
-  reconfigurations : int;
   monitor_samples : int;
 }
 
 val run : ?config:config -> scenario:Scenario.t -> seed:int -> unit -> report
-(** Requires at least as many nodes as stages (each stage needs one replica).
-    Deterministic in [(scenario, config, seed)]. *)
+(** Requires at least as many nodes as stages (each stage needs one
+    replica), and a one-stage scenario under [Round_robin]; raises
+    [Invalid_argument] otherwise. Each reconfiguration is emitted as an
+    [Adaptation_committed] event whose mappings are the per-stage replica
+    counts. Deterministic in [(scenario, config, seed)]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -4,7 +4,8 @@
     grid. Round-robin over all workers binds at the slowest node (predicted
     n·min rate), least-loaded approaches the capacity sum, and the model's
     best round-robin {e subset} beats round-robin-over-everything — measured
-    against the farm model's predictions.
+    against {!Aspipe_model.Repl_model}'s predictions for a one-stage
+    pipeline.
 
     Part (b), figure + table: a mid-run availability collapse on one member
     of the deal. The static round-robin farm collapses with it (equal shares

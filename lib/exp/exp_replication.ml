@@ -105,7 +105,7 @@ let dynamic_results ~quick =
       {
         label;
         makespan = r.Adaptive_repl.makespan;
-        reconfigurations = r.Adaptive_repl.reconfigurations;
+        reconfigurations = List.length r.Adaptive_repl.history;
         final_replicas = r.Adaptive_repl.final_replicas;
       })
     [ ("static replication", static); ("adaptive replication", adaptive) ]

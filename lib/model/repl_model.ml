@@ -1,3 +1,5 @@
+module Repl_sim = Aspipe_skel.Repl_sim
+
 let node_share ~replicas ~processors =
   let counts = Array.make processors 0 in
   Array.iter
@@ -15,44 +17,34 @@ let validate spec replicas =
     invalid_arg "Repl_model: one replica set per stage required";
   Array.iter (fun nodes -> if nodes = [] then invalid_arg "Repl_model: empty replica set") replicas
 
-let stage_capacity spec ~replicas i =
+let stage_capacity ?(dispatch = Repl_sim.Least_loaded) spec ~replicas i =
   validate spec replicas;
   let processors = Costspec.processors spec in
   let counts = node_share ~replicas ~processors in
   let work = spec.Costspec.stage_work.(i) in
   if work <= 0.0 then infinity
   else
-    List.fold_left
-      (fun acc node ->
-        acc +. (spec.Costspec.node_rates.(node) /. Float.of_int counts.(node) /. work))
-      0.0 replicas.(i)
+    let share node = spec.Costspec.node_rates.(node) /. Float.of_int counts.(node) /. work in
+    match dispatch with
+    | Repl_sim.Least_loaded -> List.fold_left (fun acc node -> acc +. share node) 0.0 replicas.(i)
+    | Repl_sim.Round_robin ->
+        (* Equal shares bind at the slowest member. *)
+        let slowest =
+          List.fold_left (fun acc node -> Float.min acc (share node)) infinity replicas.(i)
+        in
+        Float.of_int (List.length replicas.(i)) *. slowest
 
-let throughput spec ~replicas =
+let throughput ?dispatch spec ~replicas =
   validate spec replicas;
   let ns = Costspec.stages spec in
   let rec scan i acc =
-    if i = ns then acc else scan (i + 1) (Float.min acc (stage_capacity spec ~replicas i))
+    if i = ns then acc
+    else scan (i + 1) (Float.min acc (stage_capacity ?dispatch spec ~replicas i))
   in
   scan 0 infinity
 
-let completion_time spec ~replicas ~items =
-  if items <= 0 then invalid_arg "Repl_model.completion_time: items must be positive";
-  let x = throughput spec ~replicas in
+let greedy_replication spec ~budget ~processors =
   let ns = Costspec.stages spec in
-  (* One traversal: each stage at its fastest replica's share. *)
-  let fill =
-    List.fold_left
-      (fun acc i ->
-        let capacity = stage_capacity spec ~replicas i in
-        acc +. (if capacity = infinity then 0.0 else 1.0 /. capacity))
-      0.0 (List.init ns Fun.id)
-  in
-  fill +. (Float.of_int (items - 1) /. x)
-
-let best_replication spec ~budget ~processors =
-  let ns = Costspec.stages spec in
-  if processors < ns then invalid_arg "Repl_model.best_replication: need at least one node per stage";
-  if budget < ns then invalid_arg "Repl_model.best_replication: budget below one replica per stage";
   let replicas = Array.init ns (fun i -> [ i mod processors ]) in
   let counts () = node_share ~replicas ~processors in
   for _ = 1 to budget - ns do
@@ -70,3 +62,33 @@ let best_replication spec ~budget ~processors =
     replicas.(!bottleneck) <- List.sort_uniq compare (!target :: replicas.(!bottleneck))
   done;
   (Array.copy replicas, throughput spec ~replicas)
+
+(* The best equal-share deal is always a prefix of the fastest-first order:
+   scan the prefixes and keep the first maximum of k × rate_k. *)
+let fastest_prefix spec ~budget ~processors =
+  if Costspec.stages spec <> 1 then
+    invalid_arg "Repl_model.best_replication: round-robin needs a one-stage pipeline";
+  let rate n = spec.Costspec.node_rates.(n) /. spec.Costspec.stage_work.(0) in
+  let sorted =
+    List.sort
+      (fun a b -> match Float.compare (rate b) (rate a) with 0 -> compare a b | c -> c)
+      (List.init processors Fun.id)
+  in
+  let rec scan k prefix ((_, best_score) as best) = function
+    | n :: rest when k <= budget ->
+        let prefix = n :: prefix in
+        let score = Float.of_int k *. rate n in
+        scan (k + 1) prefix (if score > best_score then (prefix, score) else best) rest
+    | _ -> best
+  in
+  let set, score = scan 1 [] ([], neg_infinity) sorted in
+  ([| List.sort compare set |], score)
+
+let best_replication ?(dispatch = Repl_sim.Least_loaded) spec ~budget ~processors =
+  if processors < Costspec.stages spec then
+    invalid_arg "Repl_model.best_replication: need at least one node per stage";
+  if budget < Costspec.stages spec then
+    invalid_arg "Repl_model.best_replication: budget below one replica per stage";
+  match dispatch with
+  | Repl_sim.Least_loaded -> greedy_replication spec ~budget ~processors
+  | Repl_sim.Round_robin -> fastest_prefix spec ~budget ~processors

@@ -19,14 +19,6 @@ val apply : ('a, 'b) t -> 'a -> 'b
 (** Run one item through sequentially — the reference semantics every
     parallel backend must agree with. *)
 
-val apply_observed : bus:Aspipe_obs.Bus.t -> item:int -> ('a, 'b) t -> 'a -> 'b
-(** Like {!apply}, but emits [Service_start]/[Service_finish] per stage and
-    a final [Completion] on [bus], stamped with the bus clock — wire a
-    wall-clock bus (e.g. [Bus.create ~clock:Unix.gettimeofday ()]) to
-    profile direct shared-memory execution with the same sinks the
-    simulators use. Direct execution has no placement, so events carry
-    [node = 0]. *)
-
 val fuse_groups : int array -> ('a, 'b) t -> ('a, 'b) t
 (** [fuse_groups groups p] composes adjacent stages assigned to the same
     group into one, so the result has one stage per distinct group — the

@@ -343,78 +343,6 @@ let test_adaptive_colocates_under_congestion () =
     true
     (adaptive.Adaptive.makespan < static.Baselines.makespan)
 
-(* --------------------------------------------------------- Adaptive_farm *)
-
-module Adaptive_farm = Aspipe_core.Adaptive_farm
-module Farm_sim = Aspipe_skel.Farm_sim
-
-let farm_scenario ?(loads = []) ?(items = 200) () =
-  Scenario.make ~name:"farm-test"
-    ~make_topo:(fun engine ->
-      Topology.heterogeneous engine ~speeds:[| 14.0; 12.0; 10.0; 6.0 |] ~latency:1e-3
-        ~bandwidth:1e8 ())
-    ~loads
-    ~stages:
-      [| Stage.make ~name:"task" ~output_bytes:1e3 ~state_bytes:0.0
-           ~work:(Aspipe_util.Variate.Constant 1.0) () |]
-    ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.05) ~items ~item_bytes:1e3 ())
-    ~horizon:1e4 ()
-
-let test_adaptive_farm_requires_one_stage () =
-  let bad =
-    Scenario.make ~name:"bad"
-      ~make_topo:(fun engine ->
-        Topology.uniform engine ~n:2 ~speed:10.0 ~latency:1e-3 ~bandwidth:1e8 ())
-      ~stages:(Stage.balanced ~n:2 ~work:1.0 ())
-      ~input:(Stream_spec.make ~items:1 ())
-      ()
-  in
-  Alcotest.check_raises "multi-stage scenario rejected"
-    (Invalid_argument "Adaptive_farm.run: the scenario must have exactly one (farmed) stage")
-    (fun () -> ignore (Adaptive_farm.run ~scenario:bad ~seed:1 ()))
-
-let test_adaptive_farm_static_completes () =
-  let config = { Adaptive_farm.default_config with adapt = false } in
-  let report = Adaptive_farm.run ~config ~scenario:(farm_scenario ()) ~seed:2 () in
-  Alcotest.(check int) "all items emitted" 200
-    (Trace.items_completed report.Adaptive_farm.trace);
-  Alcotest.(check int) "no reconfigurations when static" 0
-    report.Adaptive_farm.reconfigurations;
-  (* The initial reading sees the heterogeneous speeds: the model drops the
-     slow node 3 from the round-robin deal. *)
-  Alcotest.(check (list int)) "slow node excluded" [ 0; 1; 2 ]
-    report.Adaptive_farm.initial_workers
-
-let test_adaptive_farm_evicts_degraded_worker () =
-  let scenario =
-    farm_scenario ~items:400 ~loads:[ (1, Loadgen.Step { at = 5.0; level = 0.1 }) ] ()
-  in
-  let static =
-    Adaptive_farm.run
-      ~config:{ Adaptive_farm.default_config with adapt = false }
-      ~scenario ~seed:3 ()
-  in
-  let adaptive = Adaptive_farm.run ~scenario ~seed:3 () in
-  Alcotest.(check bool) "reconfigured at least once" true
-    (adaptive.Adaptive_farm.reconfigurations >= 1);
-  Alcotest.(check bool) "degraded worker evicted" true
-    (not (List.mem 1 adaptive.Adaptive_farm.final_workers));
-  Alcotest.(check bool)
-    (Printf.sprintf "adaptive (%.1f) faster than static (%.1f)"
-       adaptive.Adaptive_farm.makespan static.Adaptive_farm.makespan)
-    true
-    (adaptive.Adaptive_farm.makespan < static.Adaptive_farm.makespan);
-  Alcotest.(check bool) "history recorded" true
-    (List.length adaptive.Adaptive_farm.worker_history
-     = adaptive.Adaptive_farm.reconfigurations)
-
-let test_adaptive_farm_deterministic () =
-  let scenario = farm_scenario () in
-  let a = Adaptive_farm.run ~scenario ~seed:5 () in
-  let b = Adaptive_farm.run ~scenario ~seed:5 () in
-  check_float "same seed, same makespan" a.Adaptive_farm.makespan b.Adaptive_farm.makespan
-
-
 let test_adaptive_with_ctmc_evaluator () =
   (* The exact evaluator on a small instance: slower, same decisions class. *)
   let scenario = small_scenario () in
@@ -453,7 +381,15 @@ let test_adaptive_conservation_under_dynamics =
 
 (* --------------------------------------------------------- Adaptive_repl *)
 
+(* Each test takes its scenario and deal: replicated pipelines under the
+   default least-loaded deal and, as extra inputs, task farms — one-stage
+   scenarios — under both deals. *)
+
 module Adaptive_repl = Aspipe_core.Adaptive_repl
+module Repl_sim = Aspipe_skel.Repl_sim
+
+let run_repl ?(dispatch = Repl_sim.Least_loaded) ?(adapt = true) ~scenario ~seed () =
+  Adaptive_repl.run ~config:{ Adaptive_repl.default_config with dispatch; adapt } ~scenario ~seed ()
 
 let repl_scenario ?(loads = []) ?(items = 300) () =
   Scenario.make ~name:"repl-test"
@@ -464,74 +400,141 @@ let repl_scenario ?(loads = []) ?(items = 300) () =
     ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.105) ~items ~item_bytes:1e3 ())
     ~horizon:1e4 ()
 
-let test_adaptive_repl_initial_allocation () =
-  let config = { Adaptive_repl.default_config with adapt = false } in
-  let report = Adaptive_repl.run ~config ~scenario:(repl_scenario ()) ~seed:4 () in
-  Alcotest.(check int) "all items" 300 (Trace.items_completed report.Adaptive_repl.trace);
-  (* Budget 6 over 3 stages with a 3x hot stage: the hot stage gets the
-     extra replicas. *)
-  Alcotest.(check bool) "hot stage replicated" true
-    (List.length report.Adaptive_repl.initial_replicas.(1) >= 3);
-  Alcotest.(check int) "no reconfiguration when static" 0
-    report.Adaptive_repl.reconfigurations
+let farm_scenario ?(loads = []) ?(items = 200) () =
+  Scenario.make ~name:"farm-test"
+    ~make_topo:(fun engine ->
+      Topology.heterogeneous engine ~speeds:[| 14.0; 12.0; 10.0; 6.0 |] ~latency:1e-3
+        ~bandwidth:1e8 ())
+    ~loads
+    ~stages:
+      [| Stage.make ~name:"task" ~output_bytes:1e3 ~state_bytes:0.0
+           ~work:(Aspipe_util.Variate.Constant 1.0) () |]
+    ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.05) ~items ~item_bytes:1e3 ())
+    ~horizon:1e4 ()
 
-let test_adaptive_repl_routes_around_collapse () =
-  (* Node 1 carries a hot-stage replica; with arrivals near capacity its
-     collapse is binding, so the engine must re-shape the replica sets. *)
-  let scenario =
-    repl_scenario ~items:400
-      ~loads:[ (1, Loadgen.Step { at = 8.0; level = 0.05 }) ]
-      ()
-  in
-  let static =
-    Adaptive_repl.run ~config:{ Adaptive_repl.default_config with adapt = false } ~scenario
-      ~seed:5 ()
-  in
-  let adaptive = Adaptive_repl.run ~scenario ~seed:5 () in
-  Alcotest.(check bool) "reconfigured" true (adaptive.Adaptive_repl.reconfigurations >= 1);
+(* A static run completes with the model's initial allocation. *)
+let test_repl_initial_allocation ?dispatch ~scenario ~seed ~items check_initial () =
+  let report = run_repl ?dispatch ~adapt:false ~scenario ~seed () in
+  Alcotest.(check int) "all items" items (Trace.items_completed report.Adaptive_repl.trace);
+  check_initial report.Adaptive_repl.initial_replicas;
+  Alcotest.(check int) "no reconfiguration when static" 0
+    (List.length report.Adaptive_repl.history)
+
+(* A replica node collapses mid-run: the adaptive engine re-shapes the sets
+   to route work away from it, and beats the static run without losing an
+   item. *)
+let test_repl_routes_around_collapse ?dispatch ~scenario ~seed ~items ~collapsed check_final () =
+  let static = run_repl ?dispatch ~adapt:false ~scenario ~seed () in
+  let adaptive = run_repl ?dispatch ~scenario ~seed () in
+  Alcotest.(check bool) "reconfigured" true (adaptive.Adaptive_repl.history <> []);
+  check_final adaptive;
+  let served (r : Adaptive_repl.report) = Trace.services_on_node r.trace ~node:collapsed in
+  Alcotest.(check bool)
+    (Printf.sprintf "collapsed node served less (%d vs %d)" (served adaptive) (served static))
+    true
+    (served adaptive < served static);
   Alcotest.(check bool)
     (Printf.sprintf "adaptive (%.1f) beats static (%.1f)" adaptive.Adaptive_repl.makespan
        static.Adaptive_repl.makespan)
     true
     (adaptive.Adaptive_repl.makespan < static.Adaptive_repl.makespan);
-  Alcotest.(check int) "no items lost" 400 (Trace.items_completed adaptive.Adaptive_repl.trace)
+  Alcotest.(check int) "no items lost" items (Trace.items_completed adaptive.Adaptive_repl.trace)
 
-let test_adaptive_repl_needs_enough_nodes () =
-  let scenario =
-    Scenario.make ~name:"tiny"
-      ~make_topo:(fun engine ->
-        Topology.uniform engine ~n:2 ~speed:10.0 ~latency:1e-3 ~bandwidth:1e8 ())
-      ~stages:(Stage.balanced ~n:3 ~work:1.0 ())
-      ~input:(Stream_spec.make ~items:1 ())
-      ()
-  in
-  Alcotest.check_raises "too few nodes"
-    (Invalid_argument "Adaptive_repl.run: need at least one node per stage") (fun () ->
-      ignore (Adaptive_repl.run ~scenario ~seed:1 ()))
+let test_repl_rejects ?dispatch ~scenario message () =
+  Alcotest.check_raises message (Invalid_argument message) (fun () ->
+      ignore (run_repl ?dispatch ~scenario ~seed:1 ()))
 
+let test_repl_deterministic ?dispatch ~scenario ~seed () =
+  let a = run_repl ?dispatch ~scenario ~seed () in
+  let b = run_repl ?dispatch ~scenario ~seed () in
+  check_float "same seed, same makespan" a.Adaptive_repl.makespan b.Adaptive_repl.makespan;
+  Alcotest.(check bool) "same reconfigurations" true
+    (a.Adaptive_repl.history = b.Adaptive_repl.history)
 
-let test_adaptive_farm_least_loaded_mode () =
-  let config =
-    { Adaptive_farm.default_config with dispatch = Farm_sim.Least_loaded; adapt = false }
-  in
-  let report = Adaptive_farm.run ~config ~scenario:(farm_scenario ()) ~seed:6 () in
-  (* Least-loaded keeps every node in the deal. *)
-  Alcotest.(check (list int)) "all nodes enrolled" [ 0; 1; 2; 3 ]
-    report.Adaptive_farm.initial_workers;
-  Alcotest.(check int) "completes" 200 (Trace.items_completed report.Adaptive_farm.trace)
-
-let test_adaptive_repl_records_adaptations_in_trace () =
-  let scenario =
-    repl_scenario ~items:400 ~loads:[ (1, Loadgen.Step { at = 8.0; level = 0.05 }) ] ()
-  in
-  let report = Adaptive_repl.run ~scenario ~seed:5 () in
+(* Every reconfiguration reaches the trace through the bus. *)
+let test_repl_adaptations_traced ?dispatch ~scenario ~seed () =
+  let report = run_repl ?dispatch ~scenario ~seed () in
   let recorded = Trace.adaptations report.Adaptive_repl.trace in
-  Alcotest.(check int) "every reconfiguration is in the trace"
-    report.Adaptive_repl.reconfigurations (List.length recorded);
+  Alcotest.(check (list (float 1e-9))) "every reconfiguration is in the trace"
+    (List.map fst report.Adaptive_repl.history)
+    (List.map (fun (a : Trace.adaptation) -> a.Trace.at) recorded);
   List.iter
     (fun (a : Trace.adaptation) ->
       Alcotest.(check bool) "positive predicted gain" true (a.Trace.predicted_gain > 0.0))
     recorded
+
+let two_stage_scenario ~nodes =
+  Scenario.make ~name:"tiny"
+    ~make_topo:(fun engine ->
+      Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:1e-3 ~bandwidth:1e8 ())
+    ~stages:(Stage.balanced ~n:(nodes + 1) ~work:1.0 ())
+    ~input:(Stream_spec.make ~items:1 ())
+    ()
+
+let collapse_at at level = [ (1, Loadgen.Step { at; level }) ]
+
+let adaptive_repl_cases =
+  [
+    Alcotest.test_case "initial allocation" `Quick
+      (test_repl_initial_allocation ~scenario:(repl_scenario ()) ~seed:4 ~items:300
+         (* budget 6 over 3 stages with a 3x hot stage: it gets the extras *)
+         (fun sets ->
+           Alcotest.(check bool) "hot stage replicated" true (List.length sets.(1) >= 3)));
+    (* Node 1 carries a hot-stage replica; with arrivals near capacity its
+       collapse is binding. *)
+    Alcotest.test_case "routes around collapse" `Slow
+      (test_repl_routes_around_collapse
+         ~scenario:(repl_scenario ~items:400 ~loads:(collapse_at 8.0 0.05) ())
+         ~seed:5 ~items:400 ~collapsed:1
+         (* the greedy allocation keeps every stage's home node: it adds
+            replicas around the collapsed one instead *)
+         (fun r ->
+           Alcotest.(check bool) "hot stage gained replicas" true
+             (List.length r.Adaptive_repl.final_replicas.(1)
+              > List.length r.Adaptive_repl.initial_replicas.(1))));
+    Alcotest.test_case "needs enough nodes" `Quick
+      (test_repl_rejects ~scenario:(two_stage_scenario ~nodes:2)
+         "Adaptive_repl.run: need at least one node per stage");
+    (* Least-loaded keeps every node in the deal. *)
+    Alcotest.test_case "least-loaded farm mode" `Quick
+      (test_repl_initial_allocation ~scenario:(farm_scenario ()) ~seed:6 ~items:200
+         (Alcotest.(check (array (list int))) "all nodes enrolled" [| [ 0; 1; 2; 3 ] |]));
+    Alcotest.test_case "repl adaptations traced" `Slow
+      (test_repl_adaptations_traced
+         ~scenario:(repl_scenario ~items:400 ~loads:(collapse_at 8.0 0.05) ())
+         ~seed:5);
+    Alcotest.test_case "deterministic" `Quick
+      (test_repl_deterministic ~scenario:(repl_scenario ()) ~seed:5);
+  ]
+
+(* The round-robin farm inputs. The group keeps its name from before the
+   adaptive farm was folded into Adaptive_repl, so these test IDs stay
+   stable. *)
+let adaptive_farm_cases =
+  let dispatch = Repl_sim.Round_robin in
+  [
+    Alcotest.test_case "one stage required" `Quick
+      (test_repl_rejects ~dispatch ~scenario:(two_stage_scenario ~nodes:3)
+         "Adaptive_repl.run: round-robin dispatch needs a one-stage scenario");
+    (* The initial reading sees the heterogeneous speeds: the model drops the
+       slow node 3 from the round-robin deal. *)
+    Alcotest.test_case "static completes" `Quick
+      (test_repl_initial_allocation ~dispatch ~scenario:(farm_scenario ()) ~seed:2 ~items:200
+         (Alcotest.(check (array (list int))) "slow node excluded" [| [ 0; 1; 2 ] |]));
+    Alcotest.test_case "evicts degraded worker" `Slow
+      (test_repl_routes_around_collapse ~dispatch
+         ~scenario:(farm_scenario ~items:400 ~loads:(collapse_at 5.0 0.1) ())
+         ~seed:3 ~items:400 ~collapsed:1
+         (fun r ->
+           Alcotest.(check bool) "degraded worker evicted" false
+             (List.mem 1 r.Adaptive_repl.final_replicas.(0))));
+    Alcotest.test_case "deterministic" `Quick
+      (test_repl_deterministic ~dispatch ~scenario:(farm_scenario ()) ~seed:5);
+    Alcotest.test_case "adaptations traced" `Slow
+      (test_repl_adaptations_traced ~dispatch
+         ~scenario:(farm_scenario ~items:400 ~loads:(collapse_at 5.0 0.1) ())
+         ~seed:3);
+  ]
 
 (* ------------------------------------------------------------- Baselines *)
 
@@ -643,24 +646,8 @@ let () =
             test_adaptive_colocates_under_congestion;
           test_adaptive_conservation_under_dynamics;
         ] );
-      ( "adaptive_farm",
-        [
-          Alcotest.test_case "one stage required" `Quick test_adaptive_farm_requires_one_stage;
-          Alcotest.test_case "static completes" `Quick test_adaptive_farm_static_completes;
-          Alcotest.test_case "evicts degraded worker" `Slow
-            test_adaptive_farm_evicts_degraded_worker;
-          Alcotest.test_case "deterministic" `Quick test_adaptive_farm_deterministic;
-        ] );
-      ( "adaptive_repl",
-        [
-          Alcotest.test_case "initial allocation" `Quick test_adaptive_repl_initial_allocation;
-          Alcotest.test_case "routes around collapse" `Slow
-            test_adaptive_repl_routes_around_collapse;
-          Alcotest.test_case "needs enough nodes" `Quick test_adaptive_repl_needs_enough_nodes;
-          Alcotest.test_case "least-loaded farm mode" `Quick test_adaptive_farm_least_loaded_mode;
-          Alcotest.test_case "repl adaptations traced" `Slow
-            test_adaptive_repl_records_adaptations_in_trace;
-        ] );
+      ("adaptive_farm", adaptive_farm_cases);
+      ("adaptive_repl", adaptive_repl_cases);
       ( "baselines",
         [
           Alcotest.test_case "static shapes" `Quick test_baselines_static_shapes;

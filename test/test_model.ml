@@ -307,59 +307,37 @@ let test_ctmc_of_costspec_consistency () =
     (x > 0.5 *. Analytic.throughput spec m && x <= Analytic.throughput spec m +. 1e-9)
 
 
-(* ----------------------------------------------------------- Farm_model *)
-
-module Farm_model = Aspipe_model.Farm_model
-
-let test_farm_model_rates () =
-  let model = Farm_model.make ~work:2.0 ~node_rates:[| 10.0; 4.0 |] in
-  check_float "worker rate" 5.0 (Farm_model.worker_rate model 0);
-  check_float "rr binds at the slowest" 4.0
-    (Farm_model.round_robin_throughput model ~workers:[ 0; 1 ]);
-  check_float "proportional sums" 7.0 (Farm_model.proportional_throughput model ~workers:[ 0; 1 ]);
-  check_float "empty set" 0.0 (Farm_model.round_robin_throughput model ~workers:[]);
-  Alcotest.check_raises "bad work" (Invalid_argument "Farm_model.make: work must be positive")
-    (fun () -> ignore (Farm_model.make ~work:0.0 ~node_rates:[| 1.0 |]))
-
-let test_farm_model_best_set () =
-  (* rates 14,12,10,10,8,6: prefixes give 14,24,30,40,40,36 -> best is the
-     4-element prefix (ties resolve to the first maximum found). *)
-  let model = Farm_model.make ~work:1.0 ~node_rates:[| 14.0; 12.0; 10.0; 10.0; 8.0; 6.0 |] in
-  let set, score = Farm_model.best_round_robin_set model ~candidates:[ 0; 1; 2; 3; 4; 5 ] in
-  Alcotest.(check (list int)) "drops the slow tail" [ 0; 1; 2; 3 ] set;
-  check_float "score" 40.0 score
-
-let test_farm_model_best_set_exhaustive =
-  qtest ~count:60 "best prefix beats every subset"
-    QCheck2.Gen.(array_size (int_range 1 8) (float_range 1.0 20.0))
-    (fun rates ->
-      let model = Farm_model.make ~work:1.0 ~node_rates:rates in
-      let candidates = List.init (Array.length rates) Fun.id in
-      let _, best = Farm_model.best_round_robin_set model ~candidates in
-      (* Enumerate all non-empty subsets and verify none beats the prefix. *)
-      let n = List.length candidates in
-      let rec subsets mask =
-        if mask >= 1 lsl n then true
-        else begin
-          let subset = List.filter (fun i -> mask land (1 lsl i) <> 0) candidates in
-          (subset = [] || Farm_model.round_robin_throughput model ~workers:subset <= best +. 1e-9)
-          && subsets (mask + 1)
-        end
-      in
-      subsets 1)
-
-
 (* ----------------------------------------------------------- Repl_model *)
 
+(* As for the simulator, the model tests take their input: replicated
+   pipelines, and task farms — one-stage specs. *)
+
 module Repl_model = Aspipe_model.Repl_model
+module Repl_sim = Aspipe_skel.Repl_sim
+
+(* Per-stage capacities, and the throughput as their minimum. *)
+let check_capacities ?dispatch ~stage_work ~node_rates ~replicas expected =
+  let spec = synthetic_spec ~stage_work ~node_rates () in
+  Array.iteri
+    (fun i want ->
+      check_close ~eps:1e-9 (Printf.sprintf "stage %d capacity" i) want
+        (Repl_model.stage_capacity ?dispatch spec ~replicas i))
+    expected;
+  check_close ~eps:1e-9 "throughput is the min"
+    (Array.fold_left Float.min infinity expected)
+    (Repl_model.throughput ?dispatch spec ~replicas)
 
 let test_repl_model_capacity () =
-  let spec = synthetic_spec ~stage_work:[| 1.0; 4.0 |] ~node_rates:[| 10.0; 10.0; 10.0 |] () in
-  let replicas = [| [ 0 ]; [ 1; 2 ] |] in
-  check_close ~eps:1e-9 "plain stage capacity" 10.0 (Repl_model.stage_capacity spec ~replicas 0);
-  check_close ~eps:1e-9 "replicated hot stage sums shares" 5.0
-    (Repl_model.stage_capacity spec ~replicas 1);
-  check_close ~eps:1e-9 "throughput is the min" 5.0 (Repl_model.throughput spec ~replicas)
+  (* A plain stage, and a hot stage whose replicas' shares add up. *)
+  check_capacities ~stage_work:[| 1.0; 4.0 |] ~node_rates:[| 10.0; 10.0; 10.0 |]
+    ~replicas:[| [ 0 ]; [ 1; 2 ] |] [| 10.0; 5.0 |]
+
+let test_farm_capacity () =
+  let capacities = check_capacities ~stage_work:[| 2.0 |] ~node_rates:[| 10.0; 4.0 |] in
+  capacities ~replicas:[| [ 0 ] |] [| 5.0 |];
+  (* Equal shares bind at the slowest member; demand-driven shares add up. *)
+  capacities ~dispatch:Repl_sim.Round_robin ~replicas:[| [ 0; 1 ] |] [| 4.0 |];
+  capacities ~dispatch:Repl_sim.Least_loaded ~replicas:[| [ 0; 1 ] |] [| 7.0 |]
 
 let test_repl_model_shared_node_splits () =
   let spec = synthetic_spec ~stage_work:[| 1.0; 1.0 |] ~node_rates:[| 10.0; 10.0 |] () in
@@ -372,25 +350,32 @@ let test_repl_model_shared_node_splits () =
   check_close ~eps:1e-9 "stage 1 gets half of node0 plus all of node1" 15.0
     (Repl_model.stage_capacity spec ~replicas 1)
 
-let test_repl_model_best_replication () =
-  let spec =
-    synthetic_spec ~stage_work:[| 1.0; 1.0; 4.0; 1.0 |]
-      ~node_rates:(Array.make 7 10.0) ()
-  in
-  let replicas, predicted = Repl_model.best_replication spec ~budget:7 ~processors:7 in
-  Alcotest.(check int) "hot stage got the extra replicas" 4 (List.length replicas.(2));
-  check_close ~eps:1e-9 "bottleneck resolved" 10.0 predicted;
+let test_best_replication ?dispatch ~stage_work ~node_rates ~budget expected predicted () =
+  let spec = synthetic_spec ~stage_work ~node_rates () in
+  let processors = Array.length node_rates in
+  let replicas, score = Repl_model.best_replication ?dispatch spec ~budget ~processors in
+  Alcotest.(check (array (list int))) "replica sets" expected replicas;
+  check_close ~eps:1e-9 "predicted throughput" predicted score;
   Alcotest.check_raises "budget too small"
     (Invalid_argument "Repl_model.best_replication: budget below one replica per stage")
-    (fun () -> ignore (Repl_model.best_replication spec ~budget:3 ~processors:7))
+    (fun () ->
+      ignore
+        (Repl_model.best_replication ?dispatch spec ~budget:(Array.length stage_work - 1)
+           ~processors))
 
 let test_repl_model_validation () =
   let spec = synthetic_spec ~stage_work:[| 1.0 |] ~node_rates:[| 10.0 |] () in
   Alcotest.check_raises "arity" (Invalid_argument "Repl_model: one replica set per stage required")
     (fun () -> ignore (Repl_model.throughput spec ~replicas:[||]));
   Alcotest.check_raises "empty set" (Invalid_argument "Repl_model: empty replica set") (fun () ->
-      ignore (Repl_model.throughput spec ~replicas:[| [] |]))
-
+      ignore (Repl_model.throughput spec ~replicas:[| [] |]));
+  let two_stages = synthetic_spec ~stage_work:[| 1.0; 1.0 |] ~node_rates:[| 10.0; 10.0 |] () in
+  Alcotest.check_raises "round-robin is one-stage"
+    (Invalid_argument "Repl_model.best_replication: round-robin needs a one-stage pipeline")
+    (fun () ->
+      ignore
+        (Repl_model.best_replication ~dispatch:Repl_sim.Round_robin two_stages ~budget:2
+           ~processors:2))
 
 let test_repl_model_monotone_in_replicas =
   qtest ~count:50 "adding a replica to a fresh node never lowers throughput"
@@ -413,6 +398,24 @@ let test_repl_model_monotone_in_replicas =
       grown.(lucky) <- [ lucky; stages ];
       Repl_model.throughput spec ~replicas:grown
       >= Repl_model.throughput spec ~replicas:base -. 1e-9)
+
+let test_fastest_prefix_optimal =
+  qtest ~count:60 "best prefix beats every subset"
+    QCheck2.Gen.(array_size (int_range 1 8) (float_range 1.0 20.0))
+    (fun rates ->
+      let rr = Repl_sim.Round_robin in
+      let spec = synthetic_spec ~stage_work:[| 1.0 |] ~node_rates:rates () in
+      let n = Array.length rates in
+      let _, best = Repl_model.best_replication ~dispatch:rr spec ~budget:n ~processors:n in
+      (* Enumerate all non-empty subsets and verify none deals faster. *)
+      let rec subsets mask =
+        mask >= 1 lsl n
+        ||
+        let subset = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
+        Repl_model.throughput ~dispatch:rr spec ~replicas:[| subset |] <= best +. 1e-9
+        && subsets (mask + 1)
+      in
+      subsets 1)
 
 (* ---------------------------------------------------------- Pepa_export *)
 
@@ -983,17 +986,28 @@ let () =
           Alcotest.test_case "fast network limit" `Quick test_ctmc_matches_analytic_on_fast_network;
           Alcotest.test_case "of_costspec consistency" `Quick test_ctmc_of_costspec_consistency;
         ] );
+      (* Task-farm inputs of the Repl_model tests; the group keeps its name
+         from before the farm model was folded in, so its test IDs stay
+         stable. *)
       ( "farm_model",
         [
-          Alcotest.test_case "rates" `Quick test_farm_model_rates;
-          Alcotest.test_case "best set" `Quick test_farm_model_best_set;
-          test_farm_model_best_set_exhaustive;
+          Alcotest.test_case "rates" `Quick test_farm_capacity;
+          Alcotest.test_case "best set" `Quick
+            (test_best_replication ~dispatch:Repl_sim.Round_robin ~stage_work:[| 1.0 |]
+               ~node_rates:[| 14.0; 12.0; 10.0; 10.0; 8.0; 6.0 |] ~budget:6
+               (* prefixes give 14,24,30,40,40,36: the first maximum wins *)
+               [| [ 0; 1; 2; 3 ] |] 40.0);
+          test_fastest_prefix_optimal;
         ] );
       ( "repl_model",
         [
           Alcotest.test_case "capacity" `Quick test_repl_model_capacity;
           Alcotest.test_case "shared node splits" `Quick test_repl_model_shared_node_splits;
-          Alcotest.test_case "best replication" `Quick test_repl_model_best_replication;
+          Alcotest.test_case "best replication" `Quick
+            (test_best_replication ~stage_work:[| 1.0; 1.0; 4.0; 1.0 |]
+               ~node_rates:(Array.make 7 10.0) ~budget:7
+               (* the hot stage gets the three extra replicas *)
+               [| [ 0 ]; [ 1 ]; [ 2; 4; 5; 6 ]; [ 3 ] |] 10.0);
           Alcotest.test_case "validation" `Quick test_repl_model_validation;
           test_repl_model_monotone_in_replicas;
         ] );

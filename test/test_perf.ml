@@ -24,15 +24,59 @@ let make_sim ?trace ~items engine =
   let input = Aspipe_skel.Stream_spec.make ~items () in
   Aspipe_skel.Skel_sim.create ?trace ~rng ~topo ~stages ~mapping:[| 0; 1; 2; 0 |] ~input ()
 
+let make_repl_sim ?trace ~items engine =
+  let rng = Aspipe_util.Rng.create 42 in
+  let topo =
+    Aspipe_grid.Topology.uniform engine ~n:4 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ()
+  in
+  let stages = Aspipe_skel.Stage.imbalanced ~n:3 ~work:1.0 ~hot_stage:1 ~factor:2.0 () in
+  let input = Aspipe_skel.Stream_spec.make ~items () in
+  Aspipe_skel.Repl_sim.create ?trace ~rng ~topo ~stages ~replicas:[| [ 0 ]; [ 1; 2 ]; [ 3 ] |]
+    ~input ()
+
 (* A sink-free simulation run stamps no events at all: every hot emit is
-   guarded by [Bus.active], and fault-free runs emit no control events. *)
+   guarded by [Bus.active], and fault-free runs emit no control events.
+   This holds for the single-node and the replicated simulator alike. *)
 let test_sink_free_run_emits_nothing () =
   let engine = Engine.create () in
   let sim = make_sim ~items:500 engine in
   Alcotest.(check bool) "bus inactive without sinks" false (Bus.active (Engine.bus engine));
   Aspipe_skel.Skel_sim.run_to_completion sim;
   Alcotest.(check int) "completed" 500 (Aspipe_skel.Skel_sim.items_completed sim);
-  Alcotest.(check int) "no events stamped" 0 (Bus.events_emitted (Engine.bus engine))
+  Alcotest.(check int) "no events stamped" 0 (Bus.events_emitted (Engine.bus engine));
+  let engine = Engine.create () in
+  let repl = make_repl_sim ~items:500 engine in
+  Aspipe_skel.Repl_sim.run_to_completion repl;
+  Alcotest.(check int) "replicated run completed" 500 (Aspipe_skel.Repl_sim.items_completed repl);
+  Alcotest.(check int) "replicated run stamped no events" 0
+    (Bus.events_emitted (Engine.bus engine))
+
+(* The bus is the replicated simulator's only trace writer: a JSONL sink
+   sees one [Service_finish] per (item, stage) and one [Completion] per
+   item, in item order. *)
+let test_replicated_run_jsonl () =
+  let module Json = Aspipe_obs.Json in
+  let engine = Engine.create () in
+  let buffer = Buffer.create 65536 in
+  ignore (Bus.subscribe (Engine.bus engine) (Aspipe_obs.Jsonl.sink_to_buffer buffer));
+  let items = 60 and stages = 3 in
+  Aspipe_skel.Repl_sim.run_to_completion (make_repl_sim ~items engine);
+  let events =
+    List.filter_map
+      (fun line ->
+        if line = "" then None
+        else match Json.of_string line with Ok json -> Some json | Error e -> Alcotest.fail e)
+      (String.split_on_char '\n' (Buffer.contents buffer))
+  in
+  let of_type kind = List.filter (fun e -> Json.member "type" e = Some (Json.String kind)) events in
+  let int key e = match Json.member key e with Some (Json.Int i) -> i | _ -> Alcotest.fail key in
+  let finishes = List.map (fun e -> (int "item" e, int "stage" e)) (of_type "service_finish") in
+  Alcotest.(check int) "service_finish count" (items * stages) (List.length finishes);
+  Alcotest.(check (list (pair int int))) "one service_finish per (item, stage)"
+    (List.concat (List.init items (fun item -> List.init stages (fun stage -> (item, stage)))))
+    (List.sort_uniq compare finishes);
+  Alcotest.(check (list int)) "one completion per item, in item order" (List.init items Fun.id)
+    (List.map (int "item") (of_type "completion"))
 
 (* The same workload, observed and unobserved: the unobserved run must
    allocate strictly less (it builds no payloads), and both must agree on
@@ -172,6 +216,8 @@ let () =
           Alcotest.test_case "pqueue cycle budget" `Quick
             test_pqueue_cycle_allocation_budget;
         ] );
+      ( "bus",
+        [ Alcotest.test_case "replicated run jsonl" `Quick test_replicated_run_jsonl ] );
       ( "golden",
         [
           Alcotest.test_case "campaign jobs 1" `Quick test_golden_campaign_jobs1;
