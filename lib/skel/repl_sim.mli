@@ -14,7 +14,8 @@
     that send lands; only the sink re-sequences the outputs, recording each
     completion once every earlier item is out. Sends are buffered
     (asynchronous), unlike the synchronous moves of the single-node
-    {!Skel_sim}, so a replica keeps up to [window] items in flight.
+    {!Skel_sim}, so a replica holds several items in flight: up to
+    [window] under the least-loaded deal, any number under round-robin.
 
     Replica sets can change mid-run ({!set_replicas}): the adaptive engines
     use this to evict replicas whose availability collapsed and to re-admit
