@@ -557,7 +557,7 @@ let farm verbose seed nodes items step_at =
       ~horizon:1e5 ()
   in
   let module AR = Aspipe_core.Adaptive_repl in
-  let config = { AR.default_config with dispatch = Aspipe_skel.Repl_sim.Round_robin } in
+  let config = { AR.default_config with dispatch = Aspipe_skel.Skel_sim.Round_robin } in
   let static = AR.run ~config:{ config with adapt = false } ~scenario ~seed () in
   let adaptive = AR.run ~config ~scenario ~seed () in
   Format.printf "static:   %a@." AR.pp_report static;

@@ -8,7 +8,7 @@
 
 module Stage = Aspipe_skel.Stage
 module Stream_spec = Aspipe_skel.Stream_spec
-module Repl_sim = Aspipe_skel.Repl_sim
+module Skel_sim = Aspipe_skel.Skel_sim
 module Loadgen = Aspipe_grid.Loadgen
 module Costspec = Aspipe_model.Costspec
 module Repl_model = Aspipe_model.Repl_model
@@ -44,17 +44,17 @@ let () =
   let processors = Array.length speeds in
   let all = [| List.init processors Fun.id |] in
   let best, predicted =
-    Repl_model.best_replication ~dispatch:Repl_sim.Round_robin spec ~budget:processors
+    Repl_model.best_replication ~dispatch:Skel_sim.Round_robin spec ~budget:processors
       ~processors
   in
   Format.printf "round-robin over all 6 workers: %.1f items/s (slowest member binds)@."
-    (Repl_model.throughput ~dispatch:Repl_sim.Round_robin spec ~replicas:all);
+    (Repl_model.throughput ~dispatch:Skel_sim.Round_robin spec ~replicas:all);
   Format.printf "model-best deal %a: %.1f items/s@." pp_set best.(0) predicted;
   Format.printf "least-loaded over all 6: %.1f items/s (capacity sum)@.@."
     (Repl_model.throughput spec ~replicas:all);
 
   (* The dynamic question: the adaptive deal evicts the collapsed worker. *)
-  let config = { Adaptive_repl.default_config with dispatch = Repl_sim.Round_robin } in
+  let config = { Adaptive_repl.default_config with dispatch = Skel_sim.Round_robin } in
   let static = Adaptive_repl.run ~config:{ config with adapt = false } ~scenario ~seed:6 () in
   let adaptive = Adaptive_repl.run ~config ~scenario ~seed:6 () in
   Format.printf "static:   %a@." Adaptive_repl.pp_report static;

@@ -6,7 +6,7 @@ module Monitor = Aspipe_grid.Monitor
 module Trace = Aspipe_grid.Trace
 module Bus = Aspipe_obs.Bus
 module Event = Aspipe_obs.Event
-module Repl_sim = Aspipe_skel.Repl_sim
+module Skel_sim = Aspipe_skel.Skel_sim
 module Costspec = Aspipe_model.Costspec
 module Repl_model = Aspipe_model.Repl_model
 
@@ -15,7 +15,7 @@ let log_src = Logs.Src.create "aspipe.repl" ~doc:"Adaptive replication engine"
 module Log = (val Logs.src_log log_src)
 
 type config = {
-  dispatch : Repl_sim.dispatch;
+  dispatch : Skel_sim.dispatch;
   monitor_every : float;
   evaluate_every : float;
   sensor : Monitor.sensor_spec;
@@ -28,7 +28,7 @@ type config = {
 
 let default_config =
   {
-    dispatch = Repl_sim.Least_loaded;
+    dispatch = Skel_sim.Least_loaded;
     monitor_every = 5.0;
     evaluate_every = 10.0;
     sensor = Monitor.default_sensor;
@@ -52,7 +52,7 @@ type report = {
 
 let run ?(config = default_config) ~scenario ~seed () =
   let stages = scenario.Scenario.stages in
-  if config.dispatch = Repl_sim.Round_robin && Array.length stages <> 1 then
+  if config.dispatch = Skel_sim.Round_robin && Array.length stages <> 1 then
     invalid_arg "Adaptive_repl.run: round-robin dispatch needs a one-stage scenario";
   let root_rng = Rng.create seed in
   let env_rng = Rng.split root_rng in
@@ -87,20 +87,22 @@ let run ?(config = default_config) ~scenario ~seed () =
   in
   let trace = Trace.create () in
   let sim =
-    Repl_sim.create ~dispatch ~trace ~rng:sim_rng ~topo ~stages ~replicas:initial_replicas
+    Skel_sim.create ~dispatch ~trace ~rng:sim_rng ~topo ~stages
+      ~mapping:(Array.map (List.fold_left min max_int) initial_replicas)
       ~input:scenario.Scenario.input ()
   in
+  Skel_sim.set_replicas sim initial_replicas;
   let history = ref [] in
   if config.adapt then
     Engine.periodic engine ~every:config.evaluate_every (fun () ->
-        if Repl_sim.finished sim then false
+        if Skel_sim.finished sim then false
         else begin
           let spec = spec_from (Monitor.node_forecast monitor) in
           let candidate, score = Repl_model.best_replication ~dispatch spec ~budget ~processors in
-          let current = Repl_sim.replicas sim in
+          let current = Skel_sim.replicas sim in
           let current_score = Repl_model.throughput ~dispatch spec ~replicas:current in
           if candidate <> current && score > current_score *. (1.0 +. config.min_gain) then begin
-            Repl_sim.set_replicas sim candidate;
+            Skel_sim.set_replicas sim candidate;
             history := (Engine.now engine, candidate) :: !history;
             Log.info (fun m ->
                 m "[%s] t=%.1f replica sets re-shaped (predicted %.2f -> %.2f items/s)"
@@ -117,12 +119,12 @@ let run ?(config = default_config) ~scenario ~seed () =
           end;
           true
         end);
-  Repl_sim.run_to_completion sim;
+  Skel_sim.run_to_completion sim;
   {
     scenario_name = scenario.Scenario.name;
     trace;
     initial_replicas;
-    final_replicas = Repl_sim.replicas sim;
+    final_replicas = Skel_sim.replicas sim;
     history = List.rev !history;
     makespan = Trace.makespan trace;
     throughput = Trace.throughput trace;

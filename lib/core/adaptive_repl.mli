@@ -7,8 +7,11 @@
     re-derives the best replica allocation for a fixed node budget from the
     monitors' forecasts ({!Aspipe_model.Repl_model.best_replication} over
     forecast-scaled rates). If a replica node degrades, the next allocation
-    routes around it; if it recovers, it is re-admitted. Replica changes are
-    cheap (the deal is stateless), so the gain threshold is the only brake.
+    routes around it; if it recovers, it is re-admitted. Changing a
+    replicated stage's set is cheap (the deal is stateless); a one-node
+    stage given another single node migrates its state
+    ({!Aspipe_skel.Skel_sim.set_replicas}). The gain threshold is the only
+    brake.
 
     A task farm is the one-stage case. Under a [Round_robin] deal the right
     worker set is the fastest prefix of the nodes, since equal shares wait
@@ -17,7 +20,7 @@
     raises it again. *)
 
 type config = {
-  dispatch : Aspipe_skel.Repl_sim.dispatch;
+  dispatch : Aspipe_skel.Skel_sim.dispatch;
       (** [Round_robin] requires a one-stage scenario *)
   monitor_every : float;
   evaluate_every : float;

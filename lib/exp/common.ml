@@ -1,6 +1,7 @@
 module Topology = Aspipe_grid.Topology
 module Trace = Aspipe_grid.Trace
 module Stream_spec = Aspipe_skel.Stream_spec
+module Skel_sim = Aspipe_skel.Skel_sim
 module Baselines = Aspipe_core.Baselines
 module Stats = Aspipe_util.Stats
 
@@ -20,6 +21,19 @@ let batch_input ?(item_bytes = 1e4) ~items () = Stream_spec.make ~item_bytes ~it
 let steady_throughput trace =
   let span = Trace.makespan trace in
   if span <= 0.0 then 0.0 else Trace.throughput_after trace (0.1 *. span)
+
+(* Placed on each set's lowest node, then widened to the sets before the
+   engine runs, so every replicated stage deals from its first item. *)
+let replicated_throughput ?dispatch ~rng ~topo ~stages ~replicas ~input () =
+  let trace = Trace.create () in
+  let sim =
+    Skel_sim.create ?dispatch ~trace ~rng ~topo ~stages
+      ~mapping:(Array.map (List.fold_left min max_int) replicas)
+      ~input ()
+  in
+  Skel_sim.set_replicas sim replicas;
+  Skel_sim.run_to_completion sim;
+  steady_throughput trace
 
 let simulated_throughput ~scenario ~seed ~mapping =
   let outcome = Baselines.run_static ~label:"probe" ~mapping ~scenario ~seed in

@@ -23,6 +23,18 @@ val batch_input : ?item_bytes:float -> items:int -> unit -> Aspipe_skel.Stream_s
 val steady_throughput : Aspipe_grid.Trace.t -> float
 (** Throughput ignoring the first 10% of the run (pipeline fill). *)
 
+val replicated_throughput :
+  ?dispatch:Aspipe_skel.Skel_sim.dispatch ->
+  rng:Aspipe_util.Rng.t ->
+  topo:Aspipe_grid.Topology.t ->
+  stages:Aspipe_skel.Stage.t array ->
+  replicas:int list array ->
+  input:Aspipe_skel.Stream_spec.t ->
+  unit ->
+  float
+(** Run a static placement with replica sets ({!Aspipe_skel.Skel_sim.set_replicas})
+    to completion and measure {!steady_throughput}. *)
+
 val simulated_throughput :
   scenario:Aspipe_core.Scenario.t -> seed:int -> mapping:int array -> float
 (** Run the mapping statically in the scenario's world and measure

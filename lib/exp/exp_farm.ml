@@ -1,6 +1,6 @@
 module Stage = Aspipe_skel.Stage
 module Stream_spec = Aspipe_skel.Stream_spec
-module Repl_sim = Aspipe_skel.Repl_sim
+module Skel_sim = Aspipe_skel.Skel_sim
 module Variate = Aspipe_util.Variate
 module Rng = Aspipe_util.Rng
 module Render = Aspipe_util.Render
@@ -52,34 +52,31 @@ let dispatch_rows ~quick =
   let processors = Array.length speeds in
   let all = List.init processors Fun.id in
   let best_sets, best_predicted =
-    Repl_model.best_replication ~dispatch:Repl_sim.Round_robin spec ~budget:processors
+    Repl_model.best_replication ~dispatch:Skel_sim.Round_robin spec ~budget:processors
       ~processors
   in
   let measure ~workers ~dispatch =
-    let trace =
-      Repl_sim.execute ~rng:(Rng.create (seed + 1)) ~dispatch ~topo:(build ()) ~stages
-        ~replicas:[| workers |] ~input:scenario.Scenario.input ()
-    in
-    Common.steady_throughput trace
+    Common.replicated_throughput ~rng:(Rng.create (seed + 1)) ~dispatch ~topo:(build ()) ~stages
+      ~replicas:[| workers |] ~input:scenario.Scenario.input ()
   in
   [
     {
       label = "round-robin, all workers";
       workers = all;
-      predicted = Repl_model.throughput ~dispatch:Repl_sim.Round_robin spec ~replicas:[| all |];
-      measured = measure ~workers:all ~dispatch:Repl_sim.Round_robin;
+      predicted = Repl_model.throughput ~dispatch:Skel_sim.Round_robin spec ~replicas:[| all |];
+      measured = measure ~workers:all ~dispatch:Skel_sim.Round_robin;
     };
     {
       label = "round-robin, model-best subset";
       workers = best_sets.(0);
       predicted = best_predicted;
-      measured = measure ~workers:best_sets.(0) ~dispatch:Repl_sim.Round_robin;
+      measured = measure ~workers:best_sets.(0) ~dispatch:Skel_sim.Round_robin;
     };
     {
       label = "least-loaded, all workers";
       workers = all;
       predicted = Repl_model.throughput spec ~replicas:[| all |];
-      measured = measure ~workers:all ~dispatch:Repl_sim.Least_loaded;
+      measured = measure ~workers:all ~dispatch:Skel_sim.Least_loaded;
     };
   ]
 
@@ -99,7 +96,7 @@ let adapt_results ~quick =
   let loads = [ (1, Loadgen.Step { at = step_at; level = 0.15 }) ] in
   let scenario = farm_scenario ~quick ~loads ~spacing ~items in
   let window = 15.0 in
-  let round_robin = { Adaptive_repl.default_config with dispatch = Repl_sim.Round_robin } in
+  let round_robin = { Adaptive_repl.default_config with dispatch = Skel_sim.Round_robin } in
   let static = Adaptive_repl.run ~config:{ round_robin with adapt = false } ~scenario ~seed () in
   let adaptive = Adaptive_repl.run ~config:round_robin ~scenario ~seed () in
   let least_loaded =

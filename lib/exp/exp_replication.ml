@@ -1,5 +1,5 @@
 module Stage = Aspipe_skel.Stage
-module Repl_sim = Aspipe_skel.Repl_sim
+module Skel_sim = Aspipe_skel.Skel_sim
 module Rng = Aspipe_util.Rng
 module Render = Aspipe_util.Render
 module Costspec = Aspipe_model.Costspec
@@ -42,11 +42,8 @@ let rows ~quick =
   in
   let measure replicas =
     let topo = Scenario.build scenario ~rng:(Rng.create 78) in
-    let trace =
-      Repl_sim.execute ~rng:(Rng.create 79) ~topo ~stages ~replicas
-        ~input:scenario.Scenario.input ()
-    in
-    Common.steady_throughput trace
+    Common.replicated_throughput ~rng:(Rng.create 79) ~topo ~stages ~replicas
+      ~input:scenario.Scenario.input ()
   in
   let hot_replicated k =
     [| [ 0 ]; [ 1 ]; List.init k (fun i -> 2 + i); [ 2 + k ] |]

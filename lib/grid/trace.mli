@@ -28,9 +28,9 @@ val subscribe : t -> Aspipe_obs.Bus.t -> unit
 (** Attach this trace as a sink on an event bus: [Service_finish],
     [Transfer], [Completion] and [Adaptation_committed] events are
     translated into the corresponding records (other events are ignored).
-    The simulators' [create] functions ({!Aspipe_skel.Skel_sim.create},
-    {!Aspipe_skel.Repl_sim.create}) do this automatically, making the bus
-    the single trace writer while the trace keeps its classic shape. *)
+    The simulator's [create] ({!Aspipe_skel.Skel_sim.create}) does this
+    automatically, making the bus the single trace writer while the trace
+    keeps its classic shape. *)
 
 val completions : t -> (int * float) array
 (** (item, departure time), in departure order. *)

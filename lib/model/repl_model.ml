@@ -1,4 +1,4 @@
-module Repl_sim = Aspipe_skel.Repl_sim
+module Skel_sim = Aspipe_skel.Skel_sim
 
 let node_share ~replicas ~processors =
   let counts = Array.make processors 0 in
@@ -17,7 +17,7 @@ let validate spec replicas =
     invalid_arg "Repl_model: one replica set per stage required";
   Array.iter (fun nodes -> if nodes = [] then invalid_arg "Repl_model: empty replica set") replicas
 
-let stage_capacity ?(dispatch = Repl_sim.Least_loaded) spec ~replicas i =
+let stage_capacity ?(dispatch = Skel_sim.Least_loaded) spec ~replicas i =
   validate spec replicas;
   let processors = Costspec.processors spec in
   let counts = node_share ~replicas ~processors in
@@ -26,8 +26,8 @@ let stage_capacity ?(dispatch = Repl_sim.Least_loaded) spec ~replicas i =
   else
     let share node = spec.Costspec.node_rates.(node) /. Float.of_int counts.(node) /. work in
     match dispatch with
-    | Repl_sim.Least_loaded -> List.fold_left (fun acc node -> acc +. share node) 0.0 replicas.(i)
-    | Repl_sim.Round_robin ->
+    | Skel_sim.Least_loaded -> List.fold_left (fun acc node -> acc +. share node) 0.0 replicas.(i)
+    | Skel_sim.Round_robin ->
         (* Equal shares bind at the slowest member. *)
         let slowest =
           List.fold_left (fun acc node -> Float.min acc (share node)) infinity replicas.(i)
@@ -84,11 +84,11 @@ let fastest_prefix spec ~budget ~processors =
   let set, score = scan 1 [] ([], neg_infinity) sorted in
   ([| List.sort compare set |], score)
 
-let best_replication ?(dispatch = Repl_sim.Least_loaded) spec ~budget ~processors =
+let best_replication ?(dispatch = Skel_sim.Least_loaded) spec ~budget ~processors =
   if processors < Costspec.stages spec then
     invalid_arg "Repl_model.best_replication: need at least one node per stage";
   if budget < Costspec.stages spec then
     invalid_arg "Repl_model.best_replication: budget below one replica per stage";
   match dispatch with
-  | Repl_sim.Least_loaded -> greedy_replication spec ~budget ~processors
-  | Repl_sim.Round_robin -> fastest_prefix spec ~budget ~processors
+  | Skel_sim.Least_loaded -> greedy_replication spec ~budget ~processors
+  | Skel_sim.Round_robin -> fastest_prefix spec ~budget ~processors

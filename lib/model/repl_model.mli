@@ -1,4 +1,4 @@
-(** Performance model of pipelines with replicated stages ({!Aspipe_skel.Repl_sim}).
+(** Performance model of pipelines with replicated stages ({!Aspipe_skel.Skel_sim}).
 
     A node serving assignments from several stages splits its rate equally
     among them. Under the demand-driven [Least_loaded] deal (the default)
@@ -13,16 +13,16 @@ val node_share : replicas:int list array -> processors:int -> int array
 (** How many (stage, replica) assignments each node carries. *)
 
 val stage_capacity :
-  ?dispatch:Aspipe_skel.Repl_sim.dispatch -> Costspec.t -> replicas:int list array -> int -> float
+  ?dispatch:Aspipe_skel.Skel_sim.dispatch -> Costspec.t -> replicas:int list array -> int -> float
 (** Items/s stage [i] can sustain given everyone's replica sets. *)
 
 val throughput :
-  ?dispatch:Aspipe_skel.Repl_sim.dispatch -> Costspec.t -> replicas:int list array -> float
+  ?dispatch:Aspipe_skel.Skel_sim.dispatch -> Costspec.t -> replicas:int list array -> float
 (** min over stages of {!stage_capacity}.
     Raises [Invalid_argument] on dimension errors or empty replica sets. *)
 
 val best_replication :
-  ?dispatch:Aspipe_skel.Repl_sim.dispatch ->
+  ?dispatch:Aspipe_skel.Skel_sim.dispatch ->
   Costspec.t ->
   budget:int ->
   processors:int ->

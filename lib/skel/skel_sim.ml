@@ -10,10 +10,26 @@ module Bus = Aspipe_obs.Bus
 module Event = Aspipe_obs.Event
 module Ring = Aspipe_util.Ring
 
+type dispatch = Round_robin | Least_loaded
+
+let pp_dispatch ppf = function
+  | Round_robin -> Format.pp_print_string ppf "round-robin"
+  | Least_loaded -> Format.pp_print_string ppf "least-loaded"
+
+(* The node a deal fetches a first-stage item from: the user site. *)
+let user_site = -1
+
+(* Items a replica may hold under the least-loaded deal. *)
+let window = 2
+
 type stage_state = {
   spec : Stage.t;
   index : int;
-  mutable node : int;
+  mutable node : int;  (* the stage's node; the lowest replica while dealing *)
+  mutable replicas : int list;  (* ascending; meaningful while [dealing] *)
+  mutable dealing : bool;
+      (* the stage runs the deal rules: it has several replicas, or it shrank
+         to one and still has dealt items out *)
   pending : int Ring.t;  (* item ids awaiting this stage, FIFO *)
   waiting_deliveries : (unit -> unit) Ring.t;
       (* deliveries parked because [pending] hit the buffer capacity *)
@@ -29,6 +45,12 @@ type stage_state = {
       (* a checkpoint replay's bulk transfer is in flight: dispatch is held
          so the replayed items keep their FIFO place ahead of anything that
          queued after the crash *)
+  deal : (int * int) Queue.t;  (* (item, node holding it) awaiting a deal *)
+  outstanding : int array;  (* per topology node: dealt items holding a slot *)
+  mutable rr_cursor : int;
+  reorder : (int, int * int) Hashtbl.t;  (* seq -> (item, replica), done *)
+  mutable next_deal : int;  (* sequence number of the next item dealt *)
+  mutable next_release : int;  (* sequence number of the next item released *)
 }
 
 type t = {
@@ -36,6 +58,7 @@ type t = {
   bus : Bus.t;
   topo : Topology.t;
   rng : Rng.t;
+  dispatch : dispatch;
   stages : stage_state array;
   work_table : (int * int, float) Hashtbl.t;
   work_seed : int;
@@ -65,9 +88,9 @@ let check_mapping topo stages mapping =
     mapping
 
 (* Work is drawn from a generator keyed on (item, stage) — not on dispatch
-   order — so every item costs the same under any mapping, buffer capacity or
-   adaptation schedule. Comparisons across strategies are therefore paired on
-   an identical workload realization, and migrating a stage never re-rolls
+   order — so every item costs the same under any placement, buffer capacity
+   or adaptation schedule. Comparisons across strategies are therefore paired
+   on an identical workload realization, and migrating a stage never re-rolls
    the work its queued items will cost. The same keying makes a re-dispatched
    item cost what its lost first attempt did. *)
 let work_for t ~item ~stage =
@@ -79,10 +102,48 @@ let work_for t ~item ~stage =
       Hashtbl.add t.work_table (item, stage) w;
       w
 
+(* Payload bytes a queued item of stage [si] carries during a move, a
+   migration or a checkpoint re-dispatch: the upstream stage's output (or
+   the user input for the first stage). *)
+let queued_item_bytes t si =
+  if si = 0 then t.input.Stream_spec.item_bytes
+  else t.stages.(si - 1).spec.Stage.output_bytes
+
+(* The completion bookkeeping of both last-stage kinds: [item]'s output has
+   reached the user. *)
+let complete t item =
+  t.completed <- t.completed + 1;
+  if Bus.active t.bus then Bus.emit t.bus (Event.Completion { item });
+  if t.open_stream then begin
+    match Hashtbl.find_opt t.arrival_stamps item with
+    | Some arrival ->
+        Hashtbl.remove t.arrival_stamps item;
+        if Bus.active t.bus then Bus.emit t.bus (Event.Sojourn { item; arrival });
+        (match t.on_completion with Some f -> f ~item ~arrival | None -> ())
+    | None -> ()
+  end
+
+(* Round-robin deals eagerly (equal shares, the classic deal); least-loaded
+   is demand-driven: an item is only dealt when some replica has fewer than
+   [window] items outstanding. *)
+let pick_replica t s =
+  match t.dispatch with
+  | Round_robin ->
+      let r = List.nth s.replicas (s.rr_cursor mod List.length s.replicas) in
+      s.rr_cursor <- s.rr_cursor + 1;
+      Some r
+  | Least_loaded ->
+      let best =
+        List.fold_left
+          (fun best r -> if s.outstanding.(r) < s.outstanding.(best) then r else best)
+          (List.hd s.replicas) (List.tl s.replicas)
+      in
+      if s.outstanding.(best) < window then Some best else None
+
 let rec try_dispatch t si =
   let s = t.stages.(si) in
   if
-    (not s.busy) && s.migrating_to = None && (not s.replaying)
+    (not s.busy) && (not s.dealing) && s.migrating_to = None && (not s.replaying)
     && Node.up (Topology.node t.topo s.node)
     && not (Ring.is_empty s.pending)
   then begin
@@ -95,64 +156,74 @@ let rec try_dispatch t si =
        after [busy] is set, or the landed delivery's own dispatch attempt
        would start a second concurrent service on this stage. *)
     if not (Ring.is_empty s.waiting_deliveries) then (Ring.pop s.waiting_deliveries) ();
-    let node_idx = s.node in
-    let node = Topology.node t.topo node_idx in
-    let start = ref (Engine.now t.engine) in
-    let work = work_for t ~item ~stage:si in
-    Server.submit (Node.server node) ~work ~tag:item
-      ~on_start:(fun () ->
-        start := Engine.now t.engine;
-        if Bus.active t.bus then
-          Bus.emit t.bus (Event.Service_start { item; stage = si; node = node_idx }))
-      (fun () ->
-        s.in_service <- None;
-        if Bus.active t.bus then
-          Bus.emit t.bus
-            (Event.Service_finish { item; stage = si; node = node_idx; start = !start });
+    (* [next_deal] is the sequence number this item takes if the stage
+       gains replicas while it is in service (see [widen]). *)
+    serve t s ~item ~node:s.node ~seq:s.next_deal
+  end
+
+and serve t s ~item ~node ~seq =
+  let start = ref (Engine.now t.engine) in
+  Server.submit
+    (Node.server (Topology.node t.topo node))
+    ~work:(work_for t ~item ~stage:s.index) ~tag:item
+    ~on_start:(fun () ->
+      start := Engine.now t.engine;
+      if Bus.active t.bus then Bus.emit t.bus (Event.Service_start { item; stage = s.index; node }))
+    (fun () ->
+      s.in_service <- None;
+      if Bus.active t.bus then
+        Bus.emit t.bus (Event.Service_finish { item; stage = s.index; node; start = !start });
+      if s.dealing then replica_done t s ~item ~replica:node ~seq
+      else
         (* The output move is part of the stage's cycle — the stage stays
            busy until its output is delivered downstream (synchronous send,
            as in the skeleton's (move).(process).(move) behaviour), so slow
            links throttle the stage that feeds them. *)
-        forward t ~item ~from_stage:si ~from_node:node_idx ~on_delivered:(fun () ->
+        forward t ~item ~from_stage:s.index ~from_node:node ~on_delivered:(fun () ->
             s.busy <- false;
-            try_dispatch t si))
-  end
+            try_dispatch t s.index))
 
+(* Move [item]'s output on from [from_stage]: to the user, or to the next
+   stage. A one-node receiver is paid for here, by the sender; a dealing
+   receiver pays itself, at deal time, so the item just joins its deal
+   queue. [on_delivered] fires when the sender's part is done. *)
 and forward t ~item ~from_stage ~from_node ~on_delivered =
-  let ns = Array.length t.stages in
   let bytes = t.stages.(from_stage).spec.Stage.output_bytes in
-  if from_stage = ns - 1 then
+  if from_stage = Array.length t.stages - 1 then
     (* Output crosses the user link from wherever the last stage ran. *)
-    let link = Topology.user_link t.topo from_node in
-    Link.transfer link ~bytes (fun () ->
-        t.completed <- t.completed + 1;
-        if Bus.active t.bus then Bus.emit t.bus (Event.Completion { item });
-        if t.open_stream then begin
-          match Hashtbl.find_opt t.arrival_stamps item with
-          | Some arrival ->
-              Hashtbl.remove t.arrival_stamps item;
-              if Bus.active t.bus then Bus.emit t.bus (Event.Sojourn { item; arrival });
-              (match t.on_completion with Some f -> f ~item ~arrival | None -> ())
-          | None -> ()
-        end;
+    Link.transfer (Topology.user_link t.topo from_node) ~bytes (fun () ->
+        complete t item;
         on_delivered ())
-  else begin
+  else
     let dst_stage = t.stages.(from_stage + 1) in
-    let dst_node = dst_stage.node in
-    let link = Topology.link t.topo ~src:from_node ~dst:dst_node in
-    let start = Engine.now t.engine in
-    Link.transfer link ~bytes (fun () ->
-        if Bus.active t.bus then
-          Bus.emit t.bus
-            (Event.Transfer { item; from_stage; src = from_node; dst = dst_node; start; bytes });
-        land_delivery t dst_stage (fun () ->
-            Ring.push dst_stage.pending item;
-            if Bus.active t.bus then
-              Bus.emit t.bus
-                (Event.Queue_sample
-                   { stage = from_stage + 1; depth = Ring.length dst_stage.pending });
-            on_delivered ();
-            try_dispatch t (from_stage + 1)))
+    if dst_stage.dealing then enter t dst_stage ~item ~src:from_node ~on_delivered
+    else begin
+      let dst_node = dst_stage.node in
+      let link = Topology.link t.topo ~src:from_node ~dst:dst_node in
+      let start = Engine.now t.engine in
+      Link.transfer link ~bytes (fun () ->
+          if Bus.active t.bus then
+            Bus.emit t.bus
+              (Event.Transfer { item; from_stage; src = from_node; dst = dst_node; start; bytes });
+          land_delivery t dst_stage (fun () ->
+              enter t dst_stage ~item ~src:dst_node ~on_delivered))
+    end
+
+(* [item] reaches stage [s] from node [src]: a dealing stage queues it for
+   a deal; a one-node stage, whose sender already moved it, queues it for
+   service. *)
+and enter t s ~item ~src ~on_delivered =
+  if s.dealing then begin
+    Queue.push (item, src) s.deal;
+    on_delivered ();
+    pump t s
+  end
+  else begin
+    Ring.push s.pending item;
+    if Bus.active t.bus then
+      Bus.emit t.bus (Event.Queue_sample { stage = s.index; depth = Ring.length s.pending });
+    on_delivered ();
+    try_dispatch t s.index
   end
 
 (* Apply the buffer bound: a delivery to a full stage parks (holding its
@@ -163,22 +234,100 @@ and land_delivery t dst deliver =
       Ring.push dst.waiting_deliveries deliver
   | Some _ | None -> deliver ()
 
+(* Deal queued items while the deal allows: the chosen replica fetches each
+   from the node holding it, then serves it. *)
+and pump t s =
+  if List.tl s.replicas <> [] && not (Queue.is_empty s.deal) then begin
+    match pick_replica t s with
+    | None -> () (* every replica is at its window; a release will re-pump *)
+    | Some replica ->
+        let item, src = Queue.pop s.deal in
+        let seq = s.next_deal in
+        s.next_deal <- seq + 1;
+        s.outstanding.(replica) <- s.outstanding.(replica) + 1;
+        let bytes = queued_item_bytes t s.index in
+        let start = Engine.now t.engine in
+        let arrived () =
+          if src <> user_site && Bus.active t.bus then
+            Bus.emit t.bus
+              (Event.Transfer { item; from_stage = s.index - 1; src; dst = replica; start; bytes });
+          serve t s ~item ~node:replica ~seq
+        in
+        if src = user_site then Link.transfer (Topology.user_link t.topo replica) ~bytes arrived
+        else Link.transfer (Topology.link t.topo ~src ~dst:replica) ~bytes arrived;
+        pump t s
+  end
+
+(* The release rule: an interior replica frees its slot when its service
+   ends; a last-stage replica sends its output to the user at once and
+   frees its slot when the send lands. Either way the item then waits in
+   the reorder buffer for its turn. *)
+and replica_done t s ~item ~replica ~seq =
+  let release () =
+    s.outstanding.(replica) <- s.outstanding.(replica) - 1;
+    Hashtbl.replace s.reorder seq (item, replica);
+    resequence t s;
+    pump t s;
+    settle t s
+  in
+  if s.index = Array.length t.stages - 1 then
+    Link.transfer (Topology.user_link t.topo replica) ~bytes:s.spec.Stage.output_bytes release
+  else release ()
+
+(* Release every contiguous item in deal order. The last stage's items
+   already reached the user and complete here; an interior stage forwards
+   each, holding nothing while a one-node receiver's move is in flight. *)
+and resequence t s =
+  match Hashtbl.find_opt s.reorder s.next_release with
+  | None -> ()
+  | Some (item, node) ->
+      Hashtbl.remove s.reorder s.next_release;
+      s.next_release <- s.next_release + 1;
+      if s.index = Array.length t.stages - 1 then complete t item
+      else forward t ~item ~from_stage:s.index ~from_node:node ~on_delivered:ignore;
+      resequence t s
+
+(* A dealing stage shrunk to one replica stops dealing; once nothing it
+   dealt is still out, it adopts the one-node rules, and the items that
+   queued meanwhile are fetched to its node ahead of later arrivals. *)
+and settle t s =
+  match s.replicas with
+  | [ node ] when s.dealing && Array.for_all (fun n -> n = 0) s.outstanding ->
+      s.dealing <- false;
+      s.node <- node;
+      let items = List.rev (Queue.fold (fun acc (item, _) -> item :: acc) [] s.deal) in
+      Queue.clear s.deal;
+      if items <> [] then fetch t s items ~landed:ignore
+  | _ -> ()
+
+(* Fetch [items] to one-node stage [s] in one bulk transfer from upstream
+   (the user site for the first stage). Dispatch is held meanwhile; on
+   landing they go ahead of everything queued since, in the given order. *)
+and fetch t s items ~landed =
+  let si = s.index in
+  let link =
+    if si = 0 then Topology.user_link t.topo s.node
+    else Topology.link t.topo ~src:t.stages.(si - 1).node ~dst:s.node
+  in
+  s.replaying <- true;
+  Link.transfer link
+    ~bytes:(Float.of_int (List.length items) *. queued_item_bytes t si)
+    (fun () ->
+      s.replaying <- false;
+      List.iter (fun item -> Ring.push_front s.pending item) (List.rev items);
+      List.iter landed items;
+      if Bus.active t.bus then
+        Bus.emit t.bus (Event.Queue_sample { stage = si; depth = Ring.length s.pending });
+      try_dispatch t si)
+
 let inject t ~item =
   let first = t.stages.(0) in
-  let link = Topology.user_link t.topo first.node in
-  Link.transfer link ~bytes:t.input.Stream_spec.item_bytes (fun () ->
-      land_delivery t first (fun () ->
-          Ring.push first.pending item;
-          if Bus.active t.bus then
-            Bus.emit t.bus (Event.Queue_sample { stage = 0; depth = Ring.length first.pending });
-          try_dispatch t 0))
-
-(* Payload bytes a queued item of stage [si] carries during a migration or a
-   checkpoint re-dispatch: the upstream stage's output (or the user input for
-   the first stage). *)
-let queued_item_bytes t si =
-  if si = 0 then t.input.Stream_spec.item_bytes
-  else t.stages.(si - 1).spec.Stage.output_bytes
+  if first.dealing then enter t first ~item ~src:user_site ~on_delivered:ignore
+  else
+    Link.transfer (Topology.user_link t.topo first.node) ~bytes:t.input.Stream_spec.item_bytes
+      (fun () ->
+        land_delivery t first (fun () ->
+            enter t first ~item ~src:first.node ~on_delivered:ignore))
 
 (* --- fault semantics ------------------------------------------------- *)
 
@@ -194,18 +343,20 @@ let rec refill t s =
         refill t s
   end
 
-(* A crash takes down every stage resident on the node: the in-service item
-   and all queued inputs are gone (fail-stop — no output escapes), recorded
-   per stage so the checkpoint-based re-dispatch can replay exactly them.
-   The queued inputs of a stage already mid-migration survive — their bytes
-   are part of the migration transfer in flight on the network, not on the
-   dying node — but its in-service item still executes locally and dies.
-   An output move already handed to the network also survives — the send
-   happened. *)
+(* A crash takes down every one-node stage resident on the node: the
+   in-service item and all queued inputs are gone (fail-stop — no output
+   escapes), recorded per stage so the checkpoint-based re-dispatch can
+   replay exactly them. The queued inputs of a stage already mid-migration
+   survive — their bytes are part of the migration transfer in flight on
+   the network, not on the dying node — but its in-service item still
+   executes locally and dies. An output move already handed to the network
+   also survives — the send happened. Items dealt to a crashed replica are
+   not checkpointed: they stall the run, and the stall report shows them as
+   the replica's outstanding count. *)
 let on_crash t node =
   Array.iter
     (fun s ->
-      if s.node = node then begin
+      if s.node = node && not s.dealing then begin
         (match s.in_service with
         | Some item ->
             s.in_service <- None;
@@ -244,42 +395,25 @@ let restore_stage t si =
   if s.lost <> [] && Node.up (Topology.node t.topo s.node) then begin
     let items = List.sort compare s.lost in
     s.lost <- [];
-    let bytes = Float.of_int (List.length items) *. queued_item_bytes t si in
-    let link =
-      if si = 0 then Topology.user_link t.topo s.node
-      else Topology.link t.topo ~src:t.stages.(si - 1).node ~dst:s.node
-    in
-    s.replaying <- true;
-    Link.transfer link ~bytes (fun () ->
-        s.replaying <- false;
-        (* Prepend in order: pushing the reversed list at the front leaves
-           the replayed items ahead of everything queued since, smallest id
-           first. *)
-        List.iter (fun item -> Ring.push_front s.pending item) (List.rev items);
-        List.iter
-          (fun item ->
-            t.redispatched_total <- t.redispatched_total + 1;
-            if Bus.active t.bus then
-              Bus.emit t.bus (Event.Item_redispatched { item; stage = si; node = s.node }))
-          items;
+    fetch t s items ~landed:(fun item ->
+        t.redispatched_total <- t.redispatched_total + 1;
         if Bus.active t.bus then
-          Bus.emit t.bus (Event.Queue_sample { stage = si; depth = Ring.length s.pending });
-        try_dispatch t si)
+          Bus.emit t.bus (Event.Item_redispatched { item; stage = si; node = s.node }))
   end
 
-(* Naive same-node recovery: when a node rejoins, each stage still mapped to
-   it replays its lost items where it stands. *)
+(* Naive same-node recovery: when a node rejoins, each one-node stage still
+   mapped to it replays its lost items where it stands. *)
 let on_recover t node =
   Array.iteri
     (fun si s ->
-      if s.node = node && s.migrating_to = None then begin
+      if s.node = node && s.migrating_to = None && not s.dealing then begin
         restore_stage t si;
         try_dispatch t si
       end)
     t.stages
 
-let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng ~topo ~stages
-    ~mapping ~input () =
+let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion
+    ?(dispatch = Least_loaded) ~rng ~topo ~stages ~mapping ~input () =
   check_mapping topo stages mapping;
   if Array.length stages = 0 then invalid_arg "Skel_sim: empty pipeline";
   (match queue_capacity with
@@ -298,6 +432,7 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
       bus = Engine.bus engine;
       topo;
       rng;
+      dispatch;
       stages =
         Array.mapi
           (fun index spec ->
@@ -305,6 +440,8 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
               spec;
               index;
               node = mapping.(index);
+              replicas = [ mapping.(index) ];
+              dealing = false;
               pending = Ring.create ~dummy:0;
               waiting_deliveries = Ring.create ~dummy:(fun () -> ());
               busy = false;
@@ -312,6 +449,12 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
               migrating_to = None;
               lost = [];
               replaying = false;
+              deal = Queue.create ();
+              outstanding = Array.make (Topology.size topo) 0;
+              rr_cursor = 0;
+              reorder = Hashtbl.create 16;
+              next_deal = 0;
+              next_release = 0;
             })
           stages;
       work_table = Hashtbl.create 1024;
@@ -362,67 +505,52 @@ let inject_external t ~item =
 let inject = inject_external
 
 let mapping t = Array.map (fun s -> s.node) t.stages
+let replicas t = Array.map (fun s -> if s.dealing then s.replicas else [ s.node ]) t.stages
+
+(* Start moving one-node stage [s] to [dst]: its state and queued item
+   payloads cross the old→new link, then it resumes there. Returns the
+   bytes in flight. *)
+let migrate t s dst =
+  let bytes =
+    s.spec.Stage.state_bytes +. (Float.of_int (Ring.length s.pending) *. queued_item_bytes t s.index)
+  in
+  s.migrating_to <- Some dst;
+  Link.transfer (Topology.link t.topo ~src:s.node ~dst) ~bytes (fun () ->
+      s.node <- dst;
+      s.migrating_to <- None;
+      (* Landing on a live node replays any checkpointed losses. *)
+      restore_stage t s.index;
+      try_dispatch t s.index);
+  bytes
+
+let check_moves t ~caller new_mapping =
+  check_mapping t.topo (Array.map (fun s -> s.spec) t.stages) new_mapping;
+  Array.iter
+    (fun s ->
+      let dst = new_mapping.(s.index) in
+      if s.dealing && dst <> s.node then invalid_arg (caller ^ ": stage has several replicas");
+      match s.migrating_to with
+      | Some dest when dst <> dest -> invalid_arg (caller ^ ": stage already migrating")
+      | Some _ | None -> ())
+    t.stages
 
 let remap t new_mapping =
-  check_mapping t.topo (Array.map (fun s -> s.spec) t.stages) new_mapping;
-  Array.iter
-    (fun s ->
-      match s.migrating_to with
-      | Some dest when new_mapping.(s.index) <> dest ->
-          invalid_arg "Skel_sim.remap: stage already migrating"
-      | Some _ | None -> ())
-    t.stages;
-  let total = ref 0.0 in
-  Array.iter
-    (fun s ->
+  check_moves t ~caller:"Skel_sim.remap" new_mapping;
+  Array.fold_left
+    (fun total s ->
       let dst = new_mapping.(s.index) in
-      if dst <> s.node && s.migrating_to = None then begin
-        let src = s.node in
-        let bytes =
-          s.spec.Stage.state_bytes
-          +. (Float.of_int (Ring.length s.pending) *. queued_item_bytes t s.index)
-        in
-        total := !total +. bytes;
-        s.migrating_to <- Some dst;
-        let link = Topology.link t.topo ~src ~dst in
-        Link.transfer link ~bytes (fun () ->
-            s.node <- dst;
-            s.migrating_to <- None;
-            (* Landing on a live node replays any checkpointed losses. *)
-            restore_stage t s.index;
-            try_dispatch t s.index)
-      end)
-    t.stages;
-  !total
+      if dst <> s.node && s.migrating_to = None then total +. migrate t s dst else total)
+    0.0 t.stages
 
 let failover t new_mapping =
-  check_mapping t.topo (Array.map (fun s -> s.spec) t.stages) new_mapping;
-  Array.iter
-    (fun s ->
-      match s.migrating_to with
-      | Some dest when new_mapping.(s.index) <> dest ->
-          invalid_arg "Skel_sim.failover: stage already migrating"
-      | Some _ | None -> ())
-    t.stages;
+  check_moves t ~caller:"Skel_sim.failover" new_mapping;
   Array.iter
     (fun s ->
       let dst = new_mapping.(s.index) in
       if dst <> s.node && s.migrating_to = None then begin
-        if Node.up (Topology.node t.topo s.node) then begin
+        if Node.up (Topology.node t.topo s.node) then
           (* Live source: an ordinary state migration. *)
-          let src = s.node in
-          let bytes =
-            s.spec.Stage.state_bytes
-            +. (Float.of_int (Ring.length s.pending) *. queued_item_bytes t s.index)
-          in
-          s.migrating_to <- Some dst;
-          let link = Topology.link t.topo ~src ~dst in
-          Link.transfer link ~bytes (fun () ->
-              s.node <- dst;
-              s.migrating_to <- None;
-              restore_stage t s.index;
-              try_dispatch t s.index)
-        end
+          ignore (migrate t s dst)
         else begin
           (* Dead source: there is no state to fetch from the corpse. The
              stage is re-instantiated at [dst] immediately and its lost
@@ -441,6 +569,72 @@ let failover t new_mapping =
         try_dispatch t s.index
       end)
     t.stages
+
+(* One-node stage [s] gains replicas: from now on it deals. Its queued
+   items sit at its node, where a replica fetches them; parked deliveries
+   land in the deal queue behind them. An item in service there is the
+   first to release: it keeps the sequence number it was dispatched with
+   and holds a slot on its node. An output move in flight keeps [busy] set
+   until it lands, as before. *)
+let widen t s =
+  s.dealing <- true;
+  if s.in_service <> None then begin
+    s.busy <- false;
+    s.outstanding.(s.node) <- s.outstanding.(s.node) + 1;
+    s.next_deal <- s.next_deal + 1
+  end;
+  if not (Ring.is_empty s.pending) then begin
+    Ring.iter s.pending (fun item -> Queue.push (item, s.node) s.deal);
+    Ring.clear s.pending;
+    if Bus.active t.bus then Bus.emit t.bus (Event.Queue_sample { stage = s.index; depth = 0 })
+  end;
+  while not (Ring.is_empty s.waiting_deliveries) do
+    (Ring.pop s.waiting_deliveries) ()
+  done
+
+let set_replicas t sets =
+  if Array.length sets <> Array.length t.stages then
+    invalid_arg "Skel_sim: one replica set per stage required";
+  let sets =
+    Array.map
+      (fun nodes ->
+        if nodes = [] then invalid_arg "Skel_sim: empty replica set";
+        List.iter
+          (fun n ->
+            if n < 0 || n >= Topology.size t.topo then invalid_arg "Skel_sim: unknown replica node")
+          nodes;
+        List.sort_uniq compare nodes)
+      sets
+  in
+  Array.iter
+    (fun s ->
+      match sets.(s.index) with
+      | [ dst ] when not s.dealing -> (
+          (* A one-node stage that stays one-node migrates. *)
+          match s.migrating_to with
+          | Some dest when dest <> dst ->
+              invalid_arg "Skel_sim.set_replicas: stage already migrating"
+          | Some _ -> ()
+          | None -> if dst <> s.node then ignore (migrate t s dst))
+      | set ->
+          if s.migrating_to <> None || s.replaying || s.lost <> [] then
+            invalid_arg "Skel_sim.set_replicas: stage is migrating or recovering";
+          s.replicas <- set;
+          if not s.dealing then widen t s;
+          s.node <- List.hd set)
+    t.stages;
+  (* Fresh capacity may unblock backlogs immediately; a shrunk, idle stage
+     takes the one-node rules at once. *)
+  Array.iter
+    (fun s ->
+      pump t s;
+      settle t s)
+    t.stages
+
+let outstanding t ~stage node =
+  if stage < 0 || stage >= Array.length t.stages || node < 0 || node >= Topology.size t.topo then
+    invalid_arg "Skel_sim.outstanding";
+  t.stages.(stage).outstanding.(node)
 
 let migrating t = Array.exists (fun s -> s.migrating_to <> None) t.stages
 
@@ -464,25 +658,43 @@ let describe_stall t reason =
     (Printf.sprintf "Skel_sim: %s at t=%.2f with %d/%d items completed" reason
        (Engine.now t.engine) t.completed (items_total t));
   let dead_holds = ref false in
+  let up node =
+    let up = Node.up (Topology.node t.topo node) in
+    if not up then dead_holds := true;
+    up
+  in
   Array.iter
     (fun s ->
-      let node_up = Node.up (Topology.node t.topo s.node) in
-      if not node_up then dead_holds := true;
-      Buffer.add_string b
-        (Printf.sprintf "\n  stage %d (%s) on node %d [%s]: %s%s, %d queued, %d parked, %d lost"
-           s.index s.spec.Stage.name s.node
-           (if node_up then "up" else "DOWN")
-           (if s.busy then
-              match s.in_service with
-              | Some item -> Printf.sprintf "serving item %d" item
-              | None -> "busy (output move in flight)"
-            else "idle")
-           (match s.migrating_to with
-           | Some d -> Printf.sprintf ", migrating to node %d" d
-           | None -> "")
-           (Ring.length s.pending)
-           (Ring.length s.waiting_deliveries)
-           (List.length s.lost)))
+      if s.dealing then
+        Buffer.add_string b
+          (Printf.sprintf
+             "\n  stage %d (%s) on replicas {%s}: outstanding %s, %d awaiting a deal, %d in the \
+              reorder buffer"
+             s.index s.spec.Stage.name
+             (String.concat "," (List.map string_of_int s.replicas))
+             (String.concat " "
+                (List.map
+                   (fun n ->
+                     Printf.sprintf "%d:%d%s" n s.outstanding.(n) (if up n then "" else " [DOWN]"))
+                   s.replicas))
+             (Queue.length s.deal) (Hashtbl.length s.reorder))
+      else
+        let node_up = up s.node in
+        Buffer.add_string b
+          (Printf.sprintf "\n  stage %d (%s) on node %d [%s]: %s%s, %d queued, %d parked, %d lost"
+             s.index s.spec.Stage.name s.node
+             (if node_up then "up" else "DOWN")
+             (if s.busy then
+                match s.in_service with
+                | Some item -> Printf.sprintf "serving item %d" item
+                | None -> "busy (output move in flight)"
+              else "idle")
+             (match s.migrating_to with
+             | Some d -> Printf.sprintf ", migrating to node %d" d
+             | None -> "")
+             (Ring.length s.pending)
+             (Ring.length s.waiting_deliveries)
+             (List.length s.lost)))
     t.stages;
   if !dead_holds then
     Buffer.add_string b

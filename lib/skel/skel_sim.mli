@@ -1,22 +1,42 @@
 (** The simulation backend of the pipeline skeleton.
 
     Runs an [Ns]-stage [Pipeline1for1] over a {!Aspipe_grid.Topology.t} under
-    a stage→node mapping, producing a {!Aspipe_grid.Trace.t}. Semantics:
+    a placement of stages on nodes, producing a {!Aspipe_grid.Trace.t}. Each
+    stage owns a {e replica set}: one node, or several ({!set_replicas}) — a
+    farm nested inside the pipeline, and a task farm when the pipeline has
+    one stage. The set's size selects the stage's rules.
 
-    - items enter at the user site and cross the user link to the first
-      stage's node; outputs cross the user link back;
-    - each stage serves one item at a time, in order; colocated stages share
-      their node's FCFS server;
-    - a stage's cycle is [(move in).(process).(move out)]: the output move is
+    A one-node stage:
+    - serves one item at a time, in order; colocated stages share their
+      node's FCFS server;
+    - runs the cycle [(move in).(process).(move out)]: the output move is
       synchronous, so the stage cannot start its next item until the
       downstream transfer is delivered — slow links throttle the stages that
       feed them, as in the skeleton's performance model;
-    - {!remap} migrates stages to new nodes mid-run: each moving stage blocks,
-      its state (plus queued item payloads) crosses the old→new link, then it
-      resumes at the new node. An in-flight service finishes on the old node.
+    - migrates under {!remap}: the stage blocks, its state (plus queued item
+      payloads) crosses the old→new link, then it resumes at the new node.
+      An in-flight service finishes on the old node.
+
+    A stage with several replicas deals each arriving item to a replica by
+    the {!dispatch} policy and re-sequences the finished items through a
+    reorder buffer, so the next stage still observes the arrival order.
+    The release rule: an interior replica frees its slot when its service
+    ends; a last-stage replica sends its output straight to the user when
+    its service ends and frees its slot when that send lands, after which
+    the item completes in order. A replica holds up to 2 items under the
+    least-loaded deal, any number under round-robin.
+
+    Who pays for the move between two stages is decided by the receiver:
+    - a one-node receiver: the sender moves the item. A one-node sender
+      holds its server until the move lands; a replicated stage's in-order
+      release holds nothing;
+    - a replicated receiver: the replica it deals the item to pays the
+      move, at deal time.
+    Items enter from the user site the same way: over the user link to a
+    one-node first stage, or fetched from it by the first stage's replica.
 
     Fault semantics (driven by {!Aspipe_grid.Node.set_up} transitions, which
-    the simulator observes through the engine bus):
+    the simulator observes through the engine bus) cover one-node stages:
 
     - a {e crash} loses exactly the items in service and queued at the
       node's stages (fail-stop): they are recorded in a per-stage
@@ -33,9 +53,18 @@
       corpse: the stage is re-instantiated at its new node and its
       checkpoint replayed there.
 
+    Items dealt to a replica whose node crashes are not checkpointed: the
+    run stalls, and {!run}'s report names the replica set holding them.
+
     The executor never looks at ground-truth availability — only the
     simulated clock — so adaptive policies on top of it are honestly
     evaluated against imperfect information. *)
+
+type dispatch =
+  | Round_robin  (** equal shares in arrival order — eSkel's default deal *)
+  | Least_loaded  (** assign to the replica with the fewest outstanding items *)
+
+val pp_dispatch : Format.formatter -> dispatch -> unit
 
 type t
 
@@ -44,6 +73,7 @@ val create :
   ?trace:Aspipe_grid.Trace.t ->
   ?arrivals:[ `From_input | `External ] ->
   ?on_completion:(item:int -> arrival:float -> unit) ->
+  ?dispatch:dispatch ->
   rng:Aspipe_util.Rng.t ->
   topo:Aspipe_grid.Topology.t ->
   stages:Stage.t array ->
@@ -52,7 +82,8 @@ val create :
   unit ->
   t
 (** Schedules all arrivals; nothing runs until the engine does.
-    [queue_capacity] bounds every stage's input buffer (default unbounded):
+    [queue_capacity] bounds every one-node stage's input buffer (default
+    unbounded; a replicated stage's deal queue is unbounded):
     a delivery to a full stage parks, holding the upstream sender busy —
     with capacity 1 the pipeline approaches the bufferless synchronization
     of the CTMC model. [trace], when given, is subscribed to the engine bus
@@ -70,6 +101,12 @@ val create :
     the emit, lets a serving driver account SLO windows without paying a
     bus subscription on closed runs.
 
+    [mapping] places each stage on one node; {!set_replicas} replicates
+    stages. [dispatch] (default [Least_loaded]) is the deal of every
+    replicated stage: [Least_loaded] deals an item only when some replica
+    has fewer than 2 items outstanding, so shares end up proportional to
+    speed; [Round_robin] deals eagerly in equal shares.
+
     Raises [Invalid_argument] if the mapping length differs from the stage
     count, names an unknown node, or the capacity is below 1. *)
 
@@ -85,13 +122,39 @@ val items_injected : t -> int
     {!items_total} counts the input spec instead). *)
 
 val mapping : t -> int array
-(** Current stage→node assignment (updated by completed migrations). *)
+(** Current stage→node assignment (updated by completed migrations); a
+    replicated stage reports its lowest replica. *)
+
+val replicas : t -> int list array
+(** Current replica sets, ascending; [[node]] for a one-node stage. *)
+
+val set_replicas : t -> int list array -> unit
+(** Replace every stage's replica set, in either direction, without losing
+    an item or breaking the order:
+    - a one-node stage given another single node migrates there, as under
+      {!remap};
+    - a one-node stage given several nodes starts dealing at once: its
+      queued items are dealt from its node, and an item in service there
+      finishes and releases first;
+    - a replicated stage's new set takes effect for future deals; items
+      already dealt to a removed replica finish there. Shrunk to one node,
+      the stage stops dealing; once nothing it dealt is still out it takes
+      the one-node rules, and the items that queued meanwhile are fetched
+      to its node from upstream in one bulk transfer.
+
+    Raises [Invalid_argument] on a missing, empty or out-of-range set, or
+    when it would change the set of a stage that is migrating or has lost
+    items to replay. *)
+
+val outstanding : t -> stage:int -> int -> int
+(** [outstanding t ~stage node]: items of a replicated [stage] dealt to
+    [node] whose slot is not yet free (see the release rule). *)
 
 val remap : t -> int array -> float
 (** [remap t m] starts migrating every stage whose assignment changes and
     returns the total bytes in flight. Items already being serviced finish
-    where they are. Re-entrant migrations to a stage already moving are
-    rejected with [Invalid_argument]. *)
+    where they are. Re-entrant migrations to a stage already moving, and
+    moves of a replicated stage, are rejected with [Invalid_argument]. *)
 
 val failover : t -> int array -> unit
 (** [failover t m] re-maps stages like {!remap}, but tolerates dead source
@@ -100,7 +163,7 @@ val failover : t -> int array -> unit
     items are re-dispatched from the per-stage checkpoint. Stages moving
     between live nodes migrate normally; stages staying put on a live node
     replay any checkpointed losses. Raises [Invalid_argument] like
-    {!remap} on conflicting in-flight migrations. *)
+    {!remap}. *)
 
 val migrating : t -> bool
 
@@ -122,10 +185,12 @@ val items_redispatched_total : t -> int
 val run : ?max_time:float -> t -> [ `Completed | `Stalled of string ]
 (** Steps the engine until every item has left the pipeline, [max_time]
     virtual seconds elapse (default [1e7]), or the event queue drains with
-    items still in flight. The [`Stalled] diagnostic names each stage, its
-    node and liveness, what it is doing, and its queue/parked/lost depths —
-    and says explicitly when a DOWN node holding a stage makes the stall a
-    fault-induced DNF rather than a modelling bug. *)
+    items still in flight. The [`Stalled] diagnostic names each one-node
+    stage, its node and liveness, what it is doing, and its
+    queue/parked/lost depths; each replicated stage, its replica set with
+    per-replica outstanding counts and liveness, its deal-queue length and
+    its reorder-buffer size. It says explicitly when a DOWN node holding a
+    stage makes the stall a fault-induced DNF rather than a modelling bug. *)
 
 val run_to_completion : ?max_time:float -> t -> unit
 (** {!run}, raising [Failure] with the stall diagnostic on [`Stalled] —

@@ -386,9 +386,9 @@ let test_adaptive_conservation_under_dynamics =
    scenarios — under both deals. *)
 
 module Adaptive_repl = Aspipe_core.Adaptive_repl
-module Repl_sim = Aspipe_skel.Repl_sim
+module Skel_sim = Aspipe_skel.Skel_sim
 
-let run_repl ?(dispatch = Repl_sim.Least_loaded) ?(adapt = true) ~scenario ~seed () =
+let run_repl ?(dispatch = Skel_sim.Least_loaded) ?(adapt = true) ~scenario ~seed () =
   Adaptive_repl.run ~config:{ Adaptive_repl.default_config with dispatch; adapt } ~scenario ~seed ()
 
 let repl_scenario ?(loads = []) ?(items = 300) () =
@@ -511,7 +511,7 @@ let adaptive_repl_cases =
    adaptive farm was folded into Adaptive_repl, so these test IDs stay
    stable. *)
 let adaptive_farm_cases =
-  let dispatch = Repl_sim.Round_robin in
+  let dispatch = Skel_sim.Round_robin in
   [
     Alcotest.test_case "one stage required" `Quick
       (test_repl_rejects ~dispatch ~scenario:(two_stage_scenario ~nodes:3)

@@ -313,7 +313,7 @@ let test_ctmc_of_costspec_consistency () =
    pipelines, and task farms — one-stage specs. *)
 
 module Repl_model = Aspipe_model.Repl_model
-module Repl_sim = Aspipe_skel.Repl_sim
+module Skel_sim = Aspipe_skel.Skel_sim
 
 (* Per-stage capacities, and the throughput as their minimum. *)
 let check_capacities ?dispatch ~stage_work ~node_rates ~replicas expected =
@@ -336,8 +336,8 @@ let test_farm_capacity () =
   let capacities = check_capacities ~stage_work:[| 2.0 |] ~node_rates:[| 10.0; 4.0 |] in
   capacities ~replicas:[| [ 0 ] |] [| 5.0 |];
   (* Equal shares bind at the slowest member; demand-driven shares add up. *)
-  capacities ~dispatch:Repl_sim.Round_robin ~replicas:[| [ 0; 1 ] |] [| 4.0 |];
-  capacities ~dispatch:Repl_sim.Least_loaded ~replicas:[| [ 0; 1 ] |] [| 7.0 |]
+  capacities ~dispatch:Skel_sim.Round_robin ~replicas:[| [ 0; 1 ] |] [| 4.0 |];
+  capacities ~dispatch:Skel_sim.Least_loaded ~replicas:[| [ 0; 1 ] |] [| 7.0 |]
 
 let test_repl_model_shared_node_splits () =
   let spec = synthetic_spec ~stage_work:[| 1.0; 1.0 |] ~node_rates:[| 10.0; 10.0 |] () in
@@ -374,7 +374,7 @@ let test_repl_model_validation () =
     (Invalid_argument "Repl_model.best_replication: round-robin needs a one-stage pipeline")
     (fun () ->
       ignore
-        (Repl_model.best_replication ~dispatch:Repl_sim.Round_robin two_stages ~budget:2
+        (Repl_model.best_replication ~dispatch:Skel_sim.Round_robin two_stages ~budget:2
            ~processors:2))
 
 let test_repl_model_monotone_in_replicas =
@@ -403,7 +403,7 @@ let test_fastest_prefix_optimal =
   qtest ~count:60 "best prefix beats every subset"
     QCheck2.Gen.(array_size (int_range 1 8) (float_range 1.0 20.0))
     (fun rates ->
-      let rr = Repl_sim.Round_robin in
+      let rr = Skel_sim.Round_robin in
       let spec = synthetic_spec ~stage_work:[| 1.0 |] ~node_rates:rates () in
       let n = Array.length rates in
       let _, best = Repl_model.best_replication ~dispatch:rr spec ~budget:n ~processors:n in
@@ -993,7 +993,7 @@ let () =
         [
           Alcotest.test_case "rates" `Quick test_farm_capacity;
           Alcotest.test_case "best set" `Quick
-            (test_best_replication ~dispatch:Repl_sim.Round_robin ~stage_work:[| 1.0 |]
+            (test_best_replication ~dispatch:Skel_sim.Round_robin ~stage_work:[| 1.0 |]
                ~node_rates:[| 14.0; 12.0; 10.0; 10.0; 8.0; 6.0 |] ~budget:6
                (* prefixes give 14,24,30,40,40,36: the first maximum wins *)
                [| [ 0; 1; 2; 3 ] |] 40.0);

@@ -24,19 +24,20 @@ let make_sim ?trace ~items engine =
   let input = Aspipe_skel.Stream_spec.make ~items () in
   Aspipe_skel.Skel_sim.create ?trace ~rng ~topo ~stages ~mapping:[| 0; 1; 2; 0 |] ~input ()
 
-let make_repl_sim ?trace ~items engine =
+let make_replicated_sim ?trace ~items engine =
   let rng = Aspipe_util.Rng.create 42 in
   let topo =
     Aspipe_grid.Topology.uniform engine ~n:4 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ()
   in
   let stages = Aspipe_skel.Stage.imbalanced ~n:3 ~work:1.0 ~hot_stage:1 ~factor:2.0 () in
   let input = Aspipe_skel.Stream_spec.make ~items () in
-  Aspipe_skel.Repl_sim.create ?trace ~rng ~topo ~stages ~replicas:[| [ 0 ]; [ 1; 2 ]; [ 3 ] |]
-    ~input ()
+  let sim = Aspipe_skel.Skel_sim.create ?trace ~rng ~topo ~stages ~mapping:[| 0; 1; 3 |] ~input () in
+  Aspipe_skel.Skel_sim.set_replicas sim [| [ 0 ]; [ 1; 2 ]; [ 3 ] |];
+  sim
 
 (* A sink-free simulation run stamps no events at all: every hot emit is
    guarded by [Bus.active], and fault-free runs emit no control events.
-   This holds for the single-node and the replicated simulator alike. *)
+   This holds for one-node and replicated stages alike. *)
 let test_sink_free_run_emits_nothing () =
   let engine = Engine.create () in
   let sim = make_sim ~items:500 engine in
@@ -45,13 +46,13 @@ let test_sink_free_run_emits_nothing () =
   Alcotest.(check int) "completed" 500 (Aspipe_skel.Skel_sim.items_completed sim);
   Alcotest.(check int) "no events stamped" 0 (Bus.events_emitted (Engine.bus engine));
   let engine = Engine.create () in
-  let repl = make_repl_sim ~items:500 engine in
-  Aspipe_skel.Repl_sim.run_to_completion repl;
-  Alcotest.(check int) "replicated run completed" 500 (Aspipe_skel.Repl_sim.items_completed repl);
+  let repl = make_replicated_sim ~items:500 engine in
+  Aspipe_skel.Skel_sim.run_to_completion repl;
+  Alcotest.(check int) "replicated run completed" 500 (Aspipe_skel.Skel_sim.items_completed repl);
   Alcotest.(check int) "replicated run stamped no events" 0
     (Bus.events_emitted (Engine.bus engine))
 
-(* The bus is the replicated simulator's only trace writer: a JSONL sink
+(* The bus is the replicated pipeline's only trace writer: a JSONL sink
    sees one [Service_finish] per (item, stage) and one [Completion] per
    item, in item order. *)
 let test_replicated_run_jsonl () =
@@ -60,7 +61,7 @@ let test_replicated_run_jsonl () =
   let buffer = Buffer.create 65536 in
   ignore (Bus.subscribe (Engine.bus engine) (Aspipe_obs.Jsonl.sink_to_buffer buffer));
   let items = 60 and stages = 3 in
-  Aspipe_skel.Repl_sim.run_to_completion (make_repl_sim ~items engine);
+  Aspipe_skel.Skel_sim.run_to_completion (make_replicated_sim ~items engine);
   let events =
     List.filter_map
       (fun line ->
@@ -80,23 +81,28 @@ let test_replicated_run_jsonl () =
 
 (* The same workload, observed and unobserved: the unobserved run must
    allocate strictly less (it builds no payloads), and both must agree on
-   every simulation-visible outcome. *)
+   every simulation-visible outcome — on one-node stages and with a
+   replicated stage alike. *)
 let test_unobserved_run_allocates_less () =
-  let run ~observed =
-    let engine = Engine.create () in
-    let trace = if observed then Some (Aspipe_grid.Trace.create ()) else None in
-    let sim = make_sim ?trace ~items:2000 engine in
-    let a0 = Gc.allocated_bytes () in
-    Aspipe_skel.Skel_sim.run_to_completion sim;
-    let bytes = Gc.allocated_bytes () -. a0 in
-    (bytes, Engine.events_fired engine, Engine.now engine)
-  in
-  let obs_bytes, obs_events, obs_now = run ~observed:true in
-  let un_bytes, un_events, un_now = run ~observed:false in
-  Alcotest.(check int) "same events fired" obs_events un_events;
-  Alcotest.(check (float 1e-9)) "same final clock" obs_now un_now;
-  if un_bytes >= obs_bytes then
-    Alcotest.failf "unobserved run allocated %.0f bytes >= observed %.0f" un_bytes obs_bytes
+  List.iter
+    (fun (label, make) ->
+      let run ~observed =
+        let engine = Engine.create () in
+        let trace = if observed then Some (Aspipe_grid.Trace.create ()) else None in
+        let sim = make ?trace ~items:2000 engine in
+        let a0 = Gc.allocated_bytes () in
+        Aspipe_skel.Skel_sim.run_to_completion sim;
+        let bytes = Gc.allocated_bytes () -. a0 in
+        (bytes, Engine.events_fired engine, Engine.now engine)
+      in
+      let obs_bytes, obs_events, obs_now = run ~observed:true in
+      let un_bytes, un_events, un_now = run ~observed:false in
+      Alcotest.(check int) (label ^ ": same events fired") obs_events un_events;
+      Alcotest.(check (float 1e-9)) (label ^ ": same final clock") obs_now un_now;
+      if un_bytes >= obs_bytes then
+        Alcotest.failf "%s: unobserved run allocated %.0f bytes >= observed %.0f" label un_bytes
+          obs_bytes)
+    [ ("one-node stages", make_sim); ("replicated stage", make_replicated_sim) ]
 
 (* Guarded emit on an inactive bus: the guard itself must not allocate a
    payload per call. The budget is generous (loop overhead, dev-profile

@@ -372,13 +372,11 @@ let test_sim_work_draws_paired_across_mappings () =
   Alcotest.(check bool) "identical per-item service durations" true
     (run [| 0 |] = run [| 2 |])
 
-(* ------------------------------------------------------------- Repl_sim *)
+(* ------------------------------------------------- Skel_sim replica sets *)
 
 (* Each test below takes its pipeline as an argument: it runs on deep
    pipelines and, as an extra input, on a task farm — one task replicated
    over a worker set, the one-stage replicated pipeline. *)
-
-module Repl_sim = Aspipe_skel.Repl_sim
 
 let farm () =
   [| Stage.make ~name:"task" ~output_bytes:10.0 ~state_bytes:0.0 ~work:(Variate.Constant 1.0) () |]
@@ -386,18 +384,23 @@ let farm () =
 let repl_topo ?(speeds = Array.make 6 10.0) engine =
   Topology.heterogeneous engine ~speeds ~latency:1e-4 ~bandwidth:1e9 ()
 
-let create_repl ?(items = 40) ?arrival ?dispatch ?speeds ~stages ~replicas engine =
+(* Replication enters through the placement: each stage starts on its
+   set's lowest node and is widened to the set before anything runs. *)
+let create_repl ?(items = 40) ?arrival ?dispatch ?speeds ?(trace = Trace.create ()) ~stages
+    ~replicas engine =
   let input = Stream_spec.make ?arrival ~items ~item_bytes:10.0 () in
-  let trace = Trace.create () in
   let sim =
-    Repl_sim.create ?dispatch ~trace ~rng:(Rng.create 11) ~topo:(repl_topo ?speeds engine)
-      ~stages ~replicas ~input ()
+    Skel_sim.create ?dispatch ~trace ~rng:(Rng.create 11) ~topo:(repl_topo ?speeds engine)
+      ~stages
+      ~mapping:(Array.map (List.fold_left min max_int) replicas)
+      ~input ()
   in
+  Skel_sim.set_replicas sim replicas;
   (sim, trace)
 
 let run_repl ?items ?dispatch ?speeds ~stages ~replicas () =
   let sim, trace = create_repl ?items ?dispatch ?speeds ~stages ~replicas (Engine.create ()) in
-  Repl_sim.run_to_completion sim;
+  Skel_sim.run_to_completion sim;
   trace
 
 (* One replica per stage: every service on its stage's node, in order, and
@@ -415,6 +418,33 @@ let test_repl_single_replicas ~stages ~replicas ~items () =
   Alcotest.(check (float 0.1)) "serialized makespan"
     (0.1 *. Float.of_int (items + Array.length stages - 1))
     (Trace.makespan trace)
+
+(* An all-singleton placement given through the replica path reproduces
+   the plain [~mapping] run event for event — also after a stage was
+   widened and shrunk back before the run. *)
+let test_repl_singletons_equal_mapping ~stages ~mapping () =
+  let stream place =
+    let engine = Engine.create () in
+    let buffer = Buffer.create 65536 in
+    ignore (Aspipe_obs.Bus.subscribe (Engine.bus engine) (Aspipe_obs.Jsonl.sink_to_buffer buffer));
+    let sim =
+      Skel_sim.create ~rng:(Rng.create 5) ~topo:(repl_topo engine) ~stages ~mapping
+        ~input:(Stream_spec.make ~items:30 ~item_bytes:10.0 ())
+        ()
+    in
+    place sim;
+    Skel_sim.run_to_completion sim;
+    Digest.to_hex (Digest.string (Buffer.contents buffer))
+  in
+  let singletons = Array.map (fun n -> [ n ]) mapping in
+  let plain = stream ignore in
+  Alcotest.(check string) "singleton sets" plain
+    (stream (fun sim -> Skel_sim.set_replicas sim singletons));
+  Alcotest.(check string) "widened and shrunk back" plain
+    (stream (fun sim ->
+         Skel_sim.set_replicas sim
+           (Array.mapi (fun i n -> if i = 1 then [ n; 5 ] else [ n ]) mapping);
+         Skel_sim.set_replicas sim singletons))
 
 let test_repl_hot_stage_speedup () =
   let stages = Stage.imbalanced ~n:3 ~work:1.0 ~hot_stage:1 ~factor:4.0 () in
@@ -458,92 +488,94 @@ let test_repl_order_restored ?dispatch ?speeds ~stages ~replicas ~items () =
     times
 
 let test_repl_validation ~stages ~bad () =
-  let topo = repl_topo ~speeds:[| 10.0; 10.0 |] (Engine.create ()) in
-  let input = Stream_spec.make ~items:1 () in
+  let sim =
+    Skel_sim.create ~rng:(Rng.create 1)
+      ~topo:(repl_topo ~speeds:[| 10.0; 10.0 |] (Engine.create ()))
+      ~stages
+      ~mapping:(Array.make (Array.length stages) 0)
+      ~input:(Stream_spec.make ~items:1 ())
+      ~trace:(Trace.create ()) ()
+  in
   List.iter
     (fun (replicas, message) ->
       Alcotest.check_raises message (Invalid_argument message) (fun () ->
-          ignore
-            (Repl_sim.create ~rng:(Rng.create 1) ~topo ~stages ~replicas ~input
-               ~trace:(Trace.create ()) ())))
+          Skel_sim.set_replicas sim replicas))
     bad
 
-let test_repl_window_validation ~stages ~replicas () =
-  let topo = repl_topo ~speeds:[| 10.0; 10.0 |] (Engine.create ()) in
-  Alcotest.check_raises "window 0" (Invalid_argument "Repl_sim: window must be at least 1")
-    (fun () ->
-      ignore
-        (Repl_sim.create ~window:0 ~rng:(Rng.create 1) ~topo ~stages ~replicas
-           ~input:(Stream_spec.make ~items:1 ()) ()))
-
 (* Re-shape the replica sets at t = 4 s of a 10 s paced stream: the new sets
-   take effect, no item is lost, and [stage] served items on both sides. *)
+   take effect, no item is lost, the order holds, and [stage] served items
+   on the old set before the switch and on the new set after it. *)
 let test_repl_set_replicas_mid_run ?dispatch ~stages ~before ~after ~stage () =
   let engine = Engine.create () in
   let sim, trace =
     create_repl ~items:50 ~arrival:(Stream_spec.Spaced 0.2) ?dispatch ~stages
       ~replicas:before engine
   in
-  ignore (Engine.schedule engine ~delay:4.0 (fun () -> Repl_sim.set_replicas sim after));
-  Repl_sim.run_to_completion sim;
-  Alcotest.(check (array (list int))) "replica sets replaced" after (Repl_sim.replicas sim);
-  Alcotest.(check int) "all items out" 50 (Trace.items_completed trace);
-  let served nodes =
+  ignore (Engine.schedule engine ~delay:4.0 (fun () -> Skel_sim.set_replicas sim after));
+  Skel_sim.run_to_completion sim;
+  Alcotest.(check (array (list int))) "replica sets replaced" after (Skel_sim.replicas sim);
+  Alcotest.(check (array int)) "all items out, in order" (Array.init 50 Fun.id)
+    (Array.map fst (Trace.completions trace));
+  let served nodes when_ =
     List.exists
-      (fun (s : Trace.service) -> s.stage = stage && List.mem s.node nodes)
+      (fun (s : Trace.service) -> s.stage = stage && List.mem s.node nodes && when_ s.start)
       (Trace.services trace)
   in
-  Alcotest.(check bool) "early work on the old set" true (served before.(stage));
-  Alcotest.(check bool) "late work on the new set" true
-    (served (List.filter (fun n -> not (List.mem n before.(stage))) after.(stage)))
-
-(* The window changes scheduling, never the result set. *)
-let test_repl_window_keeps_results ~stages ~replicas () =
-  let run window =
-    let trace =
-      Repl_sim.execute ~rng:(Rng.create 3) ~window
-        ~topo:(repl_topo ~speeds:[| 20.0; 10.0; 10.0 |] (Engine.create ()))
-        ~stages ~replicas
-        ~input:(Stream_spec.make ~items:50 ~item_bytes:10.0 ())
-        ()
-    in
-    Trace.items_completed trace
-  in
-  Alcotest.(check int) "window 1" 50 (run 1);
-  Alcotest.(check int) "window 8" 50 (run 8)
+  Alcotest.(check bool) "early work on the old set" true (served before.(stage) (fun t -> t < 4.0));
+  Alcotest.(check bool) "late work on the new set" true (served after.(stage) (fun t -> t > 6.0))
 
 (* Sampled during the run, no replica of any stage holds more than the
-   default window (2) under the least-loaded deal. *)
+   window (2) under the least-loaded deal. *)
 let test_repl_outstanding_bounds ~stages ~replicas () =
   let engine = Engine.create () in
-  let sim, _ = create_repl ~dispatch:Repl_sim.Least_loaded ~stages ~replicas engine in
+  let sim, _ = create_repl ~dispatch:Skel_sim.Least_loaded ~stages ~replicas engine in
   Engine.periodic engine ~every:0.05 (fun () ->
       Array.iteri
         (fun stage nodes ->
           List.iter
             (fun node ->
-              if Repl_sim.outstanding sim ~stage node > 2 then Alcotest.fail "window exceeded")
+              if Skel_sim.outstanding sim ~stage node > 2 then Alcotest.fail "window exceeded")
             nodes)
         replicas;
-      not (Repl_sim.finished sim));
-  Repl_sim.run_to_completion sim;
-  Alcotest.check_raises "outstanding bounds" (Invalid_argument "Repl_sim.outstanding")
-    (fun () -> ignore (Repl_sim.outstanding sim ~stage:0 9))
+      not (Skel_sim.finished sim));
+  Skel_sim.run_to_completion sim;
+  Alcotest.check_raises "outstanding bounds" (Invalid_argument "Skel_sim.outstanding")
+    (fun () -> ignore (Skel_sim.outstanding sim ~stage:0 9))
 
-(* The release rule: a last-stage replica holds its window slot until its
-   output lands at the user. With a window of 1, a 0.1 s service and a
-   0.1 s send per item never overlap: 10 items take 2 s, not 1.1 s. *)
+(* A last stage holds its node until its output lands at the user: on one
+   node the synchronous move does it, so a 0.1 s service and a 0.1 s send
+   per item never overlap — 10 items take 2 s, not 1.1 s. *)
 let test_repl_last_stage_holds_slot_until_sent () =
   let topo =
     Topology.uniform (Engine.create ()) ~n:1 ~speed:10.0 ~latency:1e-6 ~bandwidth:100.0 ()
   in
   let stages = [| Stage.make ~output_bytes:10.0 ~work:(Variate.Constant 1.0) () |] in
   let trace =
-    Repl_sim.execute ~window:1 ~topo ~stages ~replicas:[| [ 0 ] |]
+    Skel_sim.execute ~topo ~stages ~mapping:[| 0 |]
       ~input:(Stream_spec.make ~items:10 ~item_bytes:0.0 ())
       ()
   in
   Alcotest.(check (float 0.01)) "service and send serialized" 2.0 (Trace.makespan trace)
+
+let contains haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec scan i = i + nn <= nh && (String.sub haystack i nn = needle || scan (i + 1)) in
+  nn = 0 || scan 0
+
+(* A replicated run cut short stalls with a report naming the replica set,
+   its per-replica outstanding counts, deal queue and reorder buffer. *)
+let test_repl_stall_report ~stages ~replicas () =
+  let sim, _ = create_repl ~items:40 ~stages ~replicas (Engine.create ()) in
+  match Skel_sim.run ~max_time:0.5 sim with
+  | `Completed -> Alcotest.fail "a 0.5 s budget cannot drain 40 items"
+  | `Stalled message ->
+      let set = "{" ^ String.concat "," (List.map string_of_int replicas.(1)) ^ "}" in
+      List.iter
+        (fun needle ->
+          if not (contains message needle) then
+            Alcotest.failf "stall report lacks %S:\n%s" needle message)
+        [ "exceeded max_time"; "on replicas " ^ set; "outstanding "; "awaiting a deal";
+          "in the reorder buffer" ]
 
 let hot_pipeline () = Stage.imbalanced ~n:2 ~work:1.0 ~hot_stage:1 ~factor:3.0 ()
 
@@ -553,11 +585,14 @@ let heavy_tailed_pipeline () =
     Stage.make ~output_bytes:10.0 ~work:(Variate.Lognormal { mu = -0.72; sigma = 1.2 }) ();
   |]
 
-let repl_sim_cases =
+let replica_set_cases =
   [
     Alcotest.test_case "single replica = pipeline" `Quick
       (test_repl_single_replicas ~stages:(Stage.balanced ~n:3 ~work:1.0 ())
          ~replicas:[| [ 0 ]; [ 1 ]; [ 2 ] |] ~items:40);
+    Alcotest.test_case "singleton sets = mapping, event for event" `Quick
+      (test_repl_singletons_equal_mapping ~stages:(Stage.balanced ~n:3 ~work:1.0 ())
+         ~mapping:[| 0; 1; 2 |]);
     Alcotest.test_case "hot stage speedup" `Quick test_repl_hot_stage_speedup;
     Alcotest.test_case "replicas all used" `Quick
       (test_repl_shares ~stages:(hot_pipeline ()) ~replicas:[| [ 0 ]; [ 1; 2; 3 ] |] ~items:60
@@ -569,27 +604,27 @@ let repl_sim_cases =
       (test_repl_validation ~stages:(Stage.balanced ~n:2 ~work:1.0 ())
          ~bad:
            [
-             ([| [ 0 ] |], "Repl_sim: one replica set per stage required");
-             ([| [ 0 ]; [] |], "Repl_sim: empty replica set");
-             ([| [ 0 ]; [ 9 ] |], "Repl_sim: unknown replica node");
+             ([| [ 0 ] |], "Skel_sim: one replica set per stage required");
+             ([| [ 0 ]; [] |], "Skel_sim: empty replica set");
+             ([| [ 0 ]; [ 9 ] |], "Skel_sim: unknown replica node");
            ]);
-    Alcotest.test_case "window validation" `Quick
-      (test_repl_window_validation ~stages:(hot_pipeline ()) ~replicas:[| [ 0 ]; [ 1 ] |]);
-    Alcotest.test_case "set replicas mid-run" `Quick
-      (test_repl_set_replicas_mid_run ~stages:(hot_pipeline ()) ~before:[| [ 0 ]; [ 1 ] |]
-         ~after:[| [ 0 ]; [ 1; 2; 3 ] |] ~stage:1);
-    Alcotest.test_case "window preserves results" `Quick
-      (test_repl_window_keeps_results ~stages:(hot_pipeline ()) ~replicas:[| [ 2 ]; [ 0; 1 ] |]);
+    Alcotest.test_case "set replicas mid-run" `Quick (fun () ->
+        test_repl_set_replicas_mid_run ~stages:(hot_pipeline ()) ~before:[| [ 0 ]; [ 1 ] |]
+          ~after:[| [ 0 ]; [ 1; 2; 3 ] |] ~stage:1 ();
+        test_repl_set_replicas_mid_run ~stages:(hot_pipeline ())
+          ~before:[| [ 0 ]; [ 1; 2; 3 ] |] ~after:[| [ 0 ]; [ 2 ] |] ~stage:1 ());
     Alcotest.test_case "outstanding bounded by window" `Quick
       (test_repl_outstanding_bounds ~stages:(hot_pipeline ()) ~replicas:[| [ 0 ]; [ 1; 2 ] |]);
     Alcotest.test_case "last stage holds its slot until sent" `Quick
       test_repl_last_stage_holds_slot_until_sent;
+    Alcotest.test_case "stall report names the replica set" `Quick
+      (test_repl_stall_report ~stages:(hot_pipeline ()) ~replicas:[| [ 0 ]; [ 1; 2; 3 ] |]);
   ]
 
 (* The farm inputs. The group keeps its name from before the farm engine was
-   folded into Repl_sim, so these test IDs stay stable. *)
+   folded into the pipeline simulator, so these test IDs stay stable. *)
 let farm_sim_cases =
-  let rr = Repl_sim.Round_robin and ll = Repl_sim.Least_loaded in
+  let rr = Skel_sim.Round_robin and ll = Skel_sim.Least_loaded in
   [
     Alcotest.test_case "ordered completion" `Quick
       (test_repl_order_restored ~dispatch:rr ~stages:(farm ()) ~replicas:[| [ 0; 1 ] |] ~items:40);
@@ -609,13 +644,9 @@ let farm_sim_cases =
       (test_repl_validation ~stages:(farm ())
          ~bad:
            [
-             ([| [] |], "Repl_sim: empty replica set");
-             ([| [ 7 ] |], "Repl_sim: unknown replica node");
+             ([| [] |], "Skel_sim: empty replica set");
+             ([| [ 7 ] |], "Skel_sim: unknown replica node");
            ]);
-    Alcotest.test_case "window validation" `Quick
-      (test_repl_window_validation ~stages:(farm ()) ~replicas:[| [ 0 ] |]);
-    Alcotest.test_case "window preserves results" `Quick
-      (test_repl_window_keeps_results ~stages:(farm ()) ~replicas:[| [ 0; 1 ] |]);
     Alcotest.test_case "outstanding bounded by window" `Quick
       (test_repl_outstanding_bounds ~stages:(farm ()) ~replicas:[| [ 0; 1 ] |]);
     Alcotest.test_case "emission times non-decreasing" `Quick
@@ -759,7 +790,7 @@ let () =
           Alcotest.test_case "paired work draws" `Quick test_sim_work_draws_paired_across_mappings;
         ] );
       ("farm_sim", farm_sim_cases);
-      ("repl_sim", repl_sim_cases);
+      ("repl_sim", replica_set_cases);
       ( "chan",
         [
           Alcotest.test_case "fifo" `Quick test_chan_fifo;
