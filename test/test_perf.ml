@@ -145,7 +145,7 @@ let golden_campaign = [ ("E1", "28a482341504a86deef536622a83277c");
                         ("E3", "705233c8dcefc56efb2182bf2f3446ae");
                         ("E18", "d99e1d91c6ba0cf1d9f55a5ee1201040");
                         ("E12", "8b654be1b6b70c05f6b5d66200d47056");
-                        ("E14", "2451d0635c75297fead530ef0c76fe1a") ]
+                        ("E14", "39e66d56eeb9ab90737e6c869cc8480f") ]
 
 let campaign_digests ?(oversubscribe = false) ~jobs () =
   let report =
