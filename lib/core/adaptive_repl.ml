@@ -88,7 +88,7 @@ let run ?(config = default_config) ~scenario ~seed () =
   let trace = Trace.create () in
   let sim =
     Skel_sim.create ~dispatch ~trace ~rng:sim_rng ~topo ~stages
-      ~mapping:(Array.map (List.fold_left min max_int) initial_replicas)
+      ~mapping:(Array.map List.hd initial_replicas)
       ~input:scenario.Scenario.input ()
   in
   Skel_sim.set_replicas sim initial_replicas;

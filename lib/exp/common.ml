@@ -22,13 +22,13 @@ let steady_throughput trace =
   let span = Trace.makespan trace in
   if span <= 0.0 then 0.0 else Trace.throughput_after trace (0.1 *. span)
 
-(* Placed on each set's lowest node, then widened to the sets before the
+(* Placed on each set's first node, then widened to the sets before the
    engine runs, so every replicated stage deals from its first item. *)
 let replicated_throughput ?dispatch ~rng ~topo ~stages ~replicas ~input () =
   let trace = Trace.create () in
   let sim =
     Skel_sim.create ?dispatch ~trace ~rng ~topo ~stages
-      ~mapping:(Array.map (List.fold_left min max_int) replicas)
+      ~mapping:(Array.map List.hd replicas)
       ~input ()
   in
   Skel_sim.set_replicas sim replicas;

@@ -511,9 +511,8 @@ let replicas t = Array.map (fun s -> if s.dealing then s.replicas else [ s.node 
    payloads cross the old→new link, then it resumes there. Returns the
    bytes in flight. *)
 let migrate t s dst =
-  let bytes =
-    s.spec.Stage.state_bytes +. (Float.of_int (Ring.length s.pending) *. queued_item_bytes t s.index)
-  in
+  let queued = Float.of_int (Ring.length s.pending) *. queued_item_bytes t s.index in
+  let bytes = s.spec.Stage.state_bytes +. queued in
   s.migrating_to <- Some dst;
   Link.transfer (Topology.link t.topo ~src:s.node ~dst) ~bytes (fun () ->
       s.node <- dst;

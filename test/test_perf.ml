@@ -31,7 +31,9 @@ let make_replicated_sim ?trace ~items engine =
   in
   let stages = Aspipe_skel.Stage.imbalanced ~n:3 ~work:1.0 ~hot_stage:1 ~factor:2.0 () in
   let input = Aspipe_skel.Stream_spec.make ~items () in
-  let sim = Aspipe_skel.Skel_sim.create ?trace ~rng ~topo ~stages ~mapping:[| 0; 1; 3 |] ~input () in
+  let sim =
+    Aspipe_skel.Skel_sim.create ?trace ~rng ~topo ~stages ~mapping:[| 0; 1; 3 |] ~input ()
+  in
   Aspipe_skel.Skel_sim.set_replicas sim [| [ 0 ]; [ 1; 2 ]; [ 3 ] |];
   sim
 

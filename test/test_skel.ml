@@ -385,14 +385,14 @@ let repl_topo ?(speeds = Array.make 6 10.0) engine =
   Topology.heterogeneous engine ~speeds ~latency:1e-4 ~bandwidth:1e9 ()
 
 (* Replication enters through the placement: each stage starts on its
-   set's lowest node and is widened to the set before anything runs. *)
-let create_repl ?(items = 40) ?arrival ?dispatch ?speeds ?(trace = Trace.create ()) ~stages
-    ~replicas engine =
+   set's first node and is widened to the set before anything runs. *)
+let create_repl ?(items = 40) ?arrival ?dispatch ?speeds ~stages ~replicas engine =
   let input = Stream_spec.make ?arrival ~items ~item_bytes:10.0 () in
+  let trace = Trace.create () in
   let sim =
     Skel_sim.create ?dispatch ~trace ~rng:(Rng.create 11) ~topo:(repl_topo ?speeds engine)
       ~stages
-      ~mapping:(Array.map (List.fold_left min max_int) replicas)
+      ~mapping:(Array.map List.hd replicas)
       ~input ()
   in
   Skel_sim.set_replicas sim replicas;
