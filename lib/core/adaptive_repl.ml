@@ -9,6 +9,7 @@ module Event = Aspipe_obs.Event
 module Skel_sim = Aspipe_skel.Skel_sim
 module Costspec = Aspipe_model.Costspec
 module Repl_model = Aspipe_model.Repl_model
+module Mapping = Aspipe_model.Mapping
 
 let log_src = Logs.Src.create "aspipe.repl" ~doc:"Adaptive replication engine"
 
@@ -96,12 +97,23 @@ let run ?(config = default_config) ~scenario ~seed () =
   if config.adapt then
     Engine.periodic engine ~every:config.evaluate_every (fun () ->
         if Skel_sim.finished sim then false
+        else if not (Skel_sim.reshapable sim) then true (* let the move settle first *)
         else begin
           let spec = spec_from (Monitor.node_forecast monitor) in
           let candidate, score = Repl_model.best_replication ~dispatch spec ~budget ~processors in
           let current = Skel_sim.replicas sim in
           let current_score = Repl_model.throughput ~dispatch spec ~replicas:current in
           if candidate <> current && score > current_score *. (1.0 +. config.min_gain) then begin
+            (* Only a one-node stage given another single node moves state:
+               price that as {!Adaptive} prices a remap. *)
+            let moved i =
+              match (current.(i), candidate.(i)) with [ _ ], [ n ] -> n | now, _ -> List.hd now
+            in
+            let stall =
+              Migration.stall_seconds Migration.default ~spec ~stages
+                ~current:(Mapping.of_array ~processors (Array.map List.hd current))
+                ~target:(Mapping.of_array ~processors (Array.init (Array.length stages) moved))
+            in
             Skel_sim.set_replicas sim candidate;
             history := (Engine.now engine, candidate) :: !history;
             Log.info (fun m ->
@@ -114,7 +126,7 @@ let run ?(config = default_config) ~scenario ~seed () =
                      mapping_before = Array.map List.length current;
                      mapping_after = Array.map List.length candidate;
                      predicted_gain = score -. current_score;
-                     migration_cost = 0.0;
+                     migration_cost = stall;
                    })
           end;
           true

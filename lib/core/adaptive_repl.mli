@@ -51,8 +51,11 @@ type report = {
 val run : ?config:config -> scenario:Scenario.t -> seed:int -> unit -> report
 (** Requires at least as many nodes as stages (each stage needs one
     replica), and a one-stage scenario under [Round_robin]; raises
-    [Invalid_argument] otherwise. Each reconfiguration is emitted as an
-    [Adaptation_committed] event whose mappings are the per-stage replica
-    counts. Deterministic in [(scenario, config, seed)]. *)
+    [Invalid_argument] otherwise. An evaluation is skipped while
+    {!Aspipe_skel.Skel_sim.reshapable} does not hold. Each reconfiguration
+    is emitted as an [Adaptation_committed] event whose mappings are the
+    per-stage replica counts and whose migration cost is the stall
+    {!Migration.stall_seconds} predicts for the one-node stages it moves.
+    Deterministic in [(scenario, config, seed)]. *)
 
 val pp_report : Format.formatter -> report -> unit

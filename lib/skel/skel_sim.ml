@@ -33,7 +33,7 @@ type stage_state = {
   pending : int Ring.t;  (* item ids awaiting this stage, FIFO *)
   waiting_deliveries : (unit -> unit) Ring.t;
       (* deliveries parked because [pending] hit the buffer capacity *)
-  mutable busy : bool;  (* an item of this stage is submitted to a server *)
+  mutable busy : bool;  (* serving an item or moving its output; only the latter while dealing *)
   mutable in_service : int option;
       (* the submitted item, until its service finishes; [busy] with
          [in_service = None] means the output move is in flight *)
@@ -45,7 +45,9 @@ type stage_state = {
       (* a checkpoint replay's bulk transfer is in flight: dispatch is held
          so the replayed items keep their FIFO place ahead of anything that
          queued after the crash *)
-  deal : (int * int) Queue.t;  (* (item, node holding it) awaiting a deal *)
+  deal : (int * int * bool) Queue.t;
+      (* (item, node holding it, whether fetching it is a move from the
+         upstream stage) awaiting a deal *)
   outstanding : int array;  (* per topology node: dealt items holding a slot *)
   mutable rr_cursor : int;
   reorder : (int, int * int) Hashtbl.t;  (* seq -> (item, replica), done *)
@@ -72,6 +74,8 @@ type t = {
       (* item -> open-arrival instant, removed at completion; only populated
          in open-stream mode so closed runs keep their exact event stream *)
   on_completion : (item:int -> arrival:float -> unit) option;
+  mutable arriving : int;  (* arrivals on the user link to a one-node first stage *)
+  held : int Queue.t;  (* later arrivals, kept behind those *)
   mutable injected : int;
   mutable completed : int;
   mutable lost_total : int;
@@ -140,10 +144,12 @@ let pick_replica t s =
       in
       if s.outstanding.(best) < window then Some best else None
 
+(* A stage widened while moving its output resumes its release here. *)
 let rec try_dispatch t si =
   let s = t.stages.(si) in
-  if
-    (not s.busy) && (not s.dealing) && s.migrating_to = None && (not s.replaying)
+  if s.dealing then resequence t s
+  else if
+    (not s.busy) && s.migrating_to = None && (not s.replaying)
     && Node.up (Topology.node t.topo s.node)
     && not (Ring.is_empty s.pending)
   then begin
@@ -196,7 +202,7 @@ and forward t ~item ~from_stage ~from_node ~on_delivered =
         on_delivered ())
   else
     let dst_stage = t.stages.(from_stage + 1) in
-    if dst_stage.dealing then enter t dst_stage ~item ~src:from_node ~on_delivered
+    if dst_stage.dealing then enter t dst_stage ~item ~src:from_node ~upstream:true ~on_delivered
     else begin
       let dst_node = dst_stage.node in
       let link = Topology.link t.topo ~src:from_node ~dst:dst_node in
@@ -206,15 +212,15 @@ and forward t ~item ~from_stage ~from_node ~on_delivered =
             Bus.emit t.bus
               (Event.Transfer { item; from_stage; src = from_node; dst = dst_node; start; bytes });
           land_delivery t dst_stage (fun () ->
-              enter t dst_stage ~item ~src:dst_node ~on_delivered))
+              enter t dst_stage ~item ~src:dst_node ~upstream:false ~on_delivered))
     end
 
 (* [item] reaches stage [s] from node [src]: a dealing stage queues it for
    a deal; a one-node stage, whose sender already moved it, queues it for
    service. *)
-and enter t s ~item ~src ~on_delivered =
+and enter t s ~item ~src ~upstream ~on_delivered =
   if s.dealing then begin
-    Queue.push (item, src) s.deal;
+    Queue.push (item, src, upstream) s.deal;
     on_delivered ();
     pump t s
   end
@@ -241,14 +247,14 @@ and pump t s =
     match pick_replica t s with
     | None -> () (* every replica is at its window; a release will re-pump *)
     | Some replica ->
-        let item, src = Queue.pop s.deal in
+        let item, src, upstream = Queue.pop s.deal in
         let seq = s.next_deal in
         s.next_deal <- seq + 1;
         s.outstanding.(replica) <- s.outstanding.(replica) + 1;
         let bytes = queued_item_bytes t s.index in
         let start = Engine.now t.engine in
         let arrived () =
-          if src <> user_site && Bus.active t.bus then
+          if upstream && Bus.active t.bus then
             Bus.emit t.bus
               (Event.Transfer { item; from_stage = s.index - 1; src; dst = replica; start; bytes });
           serve t s ~item ~node:replica ~seq
@@ -267,8 +273,7 @@ and replica_done t s ~item ~replica ~seq =
     s.outstanding.(replica) <- s.outstanding.(replica) - 1;
     Hashtbl.replace s.reorder seq (item, replica);
     resequence t s;
-    pump t s;
-    settle t s
+    pump t s
   in
   if s.index = Array.length t.stages - 1 then
     Link.transfer (Topology.user_link t.topo replica) ~bytes:s.spec.Stage.output_bytes release
@@ -276,26 +281,33 @@ and replica_done t s ~item ~replica ~seq =
 
 (* Release every contiguous item in deal order. The last stage's items
    already reached the user and complete here; an interior stage forwards
-   each, holding nothing while a one-node receiver's move is in flight. *)
+   each from its replica, one move at a time ([busy]), since moves over
+   unequal links could land out of order. *)
 and resequence t s =
-  match Hashtbl.find_opt s.reorder s.next_release with
-  | None -> ()
-  | Some (item, node) ->
-      Hashtbl.remove s.reorder s.next_release;
-      s.next_release <- s.next_release + 1;
-      if s.index = Array.length t.stages - 1 then complete t item
-      else forward t ~item ~from_stage:s.index ~from_node:node ~on_delivered:ignore;
-      resequence t s
+  if not s.busy then
+    match Hashtbl.find_opt s.reorder s.next_release with
+    | None -> settle t s
+    | Some (item, node) ->
+        Hashtbl.remove s.reorder s.next_release;
+        s.next_release <- s.next_release + 1;
+        if s.index = Array.length t.stages - 1 then (complete t item; resequence t s)
+        else begin
+          s.busy <- true;
+          forward t ~item ~from_stage:s.index ~from_node:node ~on_delivered:(fun () ->
+              s.busy <- false;
+              resequence t s)
+        end
 
 (* A dealing stage shrunk to one replica stops dealing; once nothing it
-   dealt is still out, it adopts the one-node rules, and the items that
-   queued meanwhile are fetched to its node ahead of later arrivals. *)
+   dealt is out or (see [resequence]) moving, it adopts the one-node rules,
+   and the items that queued meanwhile are fetched to its node ahead of
+   later arrivals. *)
 and settle t s =
   match s.replicas with
   | [ node ] when s.dealing && Array.for_all (fun n -> n = 0) s.outstanding ->
       s.dealing <- false;
       s.node <- node;
-      let items = List.rev (Queue.fold (fun acc (item, _) -> item :: acc) [] s.deal) in
+      let items = List.rev (Queue.fold (fun acc (item, _, _) -> item :: acc) [] s.deal) in
       Queue.clear s.deal;
       if items <> [] then fetch t s items ~landed:ignore
   | _ -> ()
@@ -320,14 +332,24 @@ and fetch t s items ~landed =
         Bus.emit t.bus (Event.Queue_sample { stage = si; depth = Ring.length s.pending });
       try_dispatch t si)
 
-let inject t ~item =
+(* An arrival crosses the user link to a one-node first stage; a replica
+   of a replicated one fetches it at deal time. Arrivals are held while
+   earlier ones are on that link, so a widened stage deals them in order. *)
+let rec arrive t ~item =
   let first = t.stages.(0) in
-  if first.dealing then enter t first ~item ~src:user_site ~on_delivered:ignore
-  else
+  if t.arriving > 0 && (first.dealing || not (Queue.is_empty t.held)) then Queue.push item t.held
+  else if first.dealing then enter t first ~item ~src:user_site ~upstream:false ~on_delivered:ignore
+  else begin
+    t.arriving <- t.arriving + 1;
     Link.transfer (Topology.user_link t.topo first.node) ~bytes:t.input.Stream_spec.item_bytes
       (fun () ->
+        t.arriving <- t.arriving - 1;
         land_delivery t first (fun () ->
-            enter t first ~item ~src:first.node ~on_delivered:ignore))
+            enter t first ~item ~src:first.node ~upstream:false ~on_delivered:ignore);
+        while t.arriving = 0 && not (Queue.is_empty t.held) do
+          arrive t ~item:(Queue.take t.held)
+        done)
+  end
 
 (* --- fault semantics ------------------------------------------------- *)
 
@@ -357,21 +379,19 @@ let on_crash t node =
   Array.iter
     (fun s ->
       if s.node = node && not s.dealing then begin
+        let lose item =
+          s.lost <- item :: s.lost;
+          t.lost_total <- t.lost_total + 1;
+          if Bus.active t.bus then Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node })
+        in
         (match s.in_service with
         | Some item ->
             s.in_service <- None;
             s.busy <- false;
-            s.lost <- item :: s.lost;
-            t.lost_total <- t.lost_total + 1;
-            if Bus.active t.bus then
-              Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node })
+            lose item
         | None -> ());
         if s.migrating_to = None && not (Ring.is_empty s.pending) then begin
-          Ring.iter s.pending (fun item ->
-              s.lost <- item :: s.lost;
-              t.lost_total <- t.lost_total + 1;
-              if Bus.active t.bus then
-                Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node }));
+          Ring.iter s.pending lose;
           Ring.clear s.pending;
           if Bus.active t.bus then
             Bus.emit t.bus (Event.Queue_sample { stage = s.index; depth = 0 });
@@ -464,6 +484,8 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion
       open_stream = (arrivals = `External);
       arrival_stamps = Hashtbl.create (if arrivals = `External then 1024 else 1);
       on_completion;
+      arriving = 0;
+      held = Queue.create ();
       injected = (if arrivals = `External then 0 else input.Stream_spec.items);
       completed = 0;
       lost_total = 0;
@@ -485,24 +507,19 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion
   | `From_input ->
       let times = Stream_spec.arrival_times input rng in
       Array.iteri
-        (fun item time -> ignore (Engine.schedule_at engine ~time (fun () -> inject t ~item)))
+        (fun item time -> ignore (Engine.schedule_at engine ~time (fun () -> arrive t ~item)))
         times);
   t
 
 (* Open-arrival entry point: the serving layer calls this from its own
    arrival events. The stamp is taken before the user-link transfer starts,
    so the recorded sojourn covers the full user-visible residence. *)
-let inject_external t ~item =
+let inject t ~item =
   if not t.open_stream then
     invalid_arg "Skel_sim.inject: simulator was created with ~arrivals:`From_input";
   Hashtbl.replace t.arrival_stamps item (Engine.now t.engine);
   t.injected <- t.injected + 1;
-  inject t ~item
-
-(* The exported [inject] is the stamping open-stream one; the closed path's
-   internal injector above keeps its name for the arrival scheduling in
-   [create]. *)
-let inject = inject_external
+  arrive t ~item
 
 let mapping t = Array.map (fun s -> s.node) t.stages
 let replicas t = Array.map (fun s -> if s.dealing then s.replicas else [ s.node ]) t.stages
@@ -528,9 +545,8 @@ let check_moves t ~caller new_mapping =
     (fun s ->
       let dst = new_mapping.(s.index) in
       if s.dealing && dst <> s.node then invalid_arg (caller ^ ": stage has several replicas");
-      match s.migrating_to with
-      | Some dest when dst <> dest -> invalid_arg (caller ^ ": stage already migrating")
-      | Some _ | None -> ())
+      if s.migrating_to <> None && s.migrating_to <> Some dst then
+        invalid_arg (caller ^ ": stage already migrating"))
     t.stages
 
 let remap t new_mapping =
@@ -574,7 +590,7 @@ let failover t new_mapping =
    land in the deal queue behind them. An item in service there is the
    first to release: it keeps the sequence number it was dispatched with
    and holds a slot on its node. An output move in flight keeps [busy] set
-   until it lands, as before. *)
+   until it lands, so no release overtakes it. *)
 let widen t s =
   s.dealing <- true;
   if s.in_service <> None then begin
@@ -583,13 +599,14 @@ let widen t s =
     s.next_deal <- s.next_deal + 1
   end;
   if not (Ring.is_empty s.pending) then begin
-    Ring.iter s.pending (fun item -> Queue.push (item, s.node) s.deal);
+    Ring.iter s.pending (fun item -> Queue.push (item, s.node, false) s.deal);
     Ring.clear s.pending;
     if Bus.active t.bus then Bus.emit t.bus (Event.Queue_sample { stage = s.index; depth = 0 })
   end;
-  while not (Ring.is_empty s.waiting_deliveries) do
-    (Ring.pop s.waiting_deliveries) ()
-  done
+  Ring.iter s.waiting_deliveries (fun deliver -> deliver ());
+  Ring.clear s.waiting_deliveries
+
+let can_reshape s = s.migrating_to = None && (not s.replaying) && s.lost = []
 
 let set_replicas t sets =
   if Array.length sets <> Array.length t.stages then
@@ -598,25 +615,21 @@ let set_replicas t sets =
     Array.map
       (fun nodes ->
         if nodes = [] then invalid_arg "Skel_sim: empty replica set";
-        List.iter
-          (fun n ->
-            if n < 0 || n >= Topology.size t.topo then invalid_arg "Skel_sim: unknown replica node")
-          nodes;
+        if List.exists (fun n -> n < 0 || n >= Topology.size t.topo) nodes then
+          invalid_arg "Skel_sim: unknown replica node";
         List.sort_uniq compare nodes)
       sets
   in
   Array.iter
     (fun s ->
       match sets.(s.index) with
-      | [ dst ] when not s.dealing -> (
+      | [ dst ] when not s.dealing ->
           (* A one-node stage that stays one-node migrates. *)
-          match s.migrating_to with
-          | Some dest when dest <> dst ->
-              invalid_arg "Skel_sim.set_replicas: stage already migrating"
-          | Some _ -> ()
-          | None -> if dst <> s.node then ignore (migrate t s dst))
+          if s.migrating_to <> None && s.migrating_to <> Some dst then
+            invalid_arg "Skel_sim.set_replicas: stage already migrating";
+          if s.migrating_to = None && dst <> s.node then ignore (migrate t s dst)
       | set ->
-          if s.migrating_to <> None || s.replaying || s.lost <> [] then
+          if not (can_reshape s) then
             invalid_arg "Skel_sim.set_replicas: stage is migrating or recovering";
           s.replicas <- set;
           if not s.dealing then widen t s;
@@ -627,7 +640,7 @@ let set_replicas t sets =
   Array.iter
     (fun s ->
       pump t s;
-      settle t s)
+      resequence t s)
     t.stages
 
 let outstanding t ~stage node =
@@ -637,13 +650,14 @@ let outstanding t ~stage node =
 
 let migrating t = Array.exists (fun s -> s.migrating_to <> None) t.stages
 
+let reshapable t = Array.for_all can_reshape t.stages
+
 let items_total t = if t.open_stream then t.injected else t.input.Stream_spec.items
 let items_injected t = t.injected
 let items_completed t = t.completed
 let finished t = t.completed = items_total t
 
-let lost_items t =
-  List.sort compare (Array.fold_left (fun acc s -> s.lost @ acc) [] t.stages)
+let lost_items t = List.sort compare (Array.fold_left (fun acc s -> s.lost @ acc) [] t.stages)
 
 let items_lost_total t = t.lost_total
 let items_redispatched_total t = t.redispatched_total
@@ -678,11 +692,10 @@ let describe_stall t reason =
                    s.replicas))
              (Queue.length s.deal) (Hashtbl.length s.reorder))
       else
-        let node_up = up s.node in
         Buffer.add_string b
           (Printf.sprintf "\n  stage %d (%s) on node %d [%s]: %s%s, %d queued, %d parked, %d lost"
              s.index s.spec.Stage.name s.node
-             (if node_up then "up" else "DOWN")
+             (if up s.node then "up" else "DOWN")
              (if s.busy then
                 match s.in_service with
                 | Some item -> Printf.sprintf "serving item %d" item

@@ -28,8 +28,10 @@
 
     Who pays for the move between two stages is decided by the receiver:
     - a one-node receiver: the sender moves the item. A one-node sender
-      holds its server until the move lands; a replicated stage's in-order
-      release holds nothing;
+      holds its server until the move lands. A replicated stage sends each
+      released item from the replica that served it and holds its release
+      until that move lands, so items sent over unequal links still arrive
+      in order; its replicas keep serving meanwhile;
     - a replicated receiver: the replica it deals the item to pays the
       move, at deal time.
     Items enter from the user site the same way: over the user link to a
@@ -135,16 +137,24 @@ val set_replicas : t -> int list array -> unit
       {!remap};
     - a one-node stage given several nodes starts dealing at once: its
       queued items are dealt from its node, and an item in service there
-      finishes and releases first;
+      finishes and releases first. An output move already in flight lands
+      before any release;
     - a replicated stage's new set takes effect for future deals; items
       already dealt to a removed replica finish there. Shrunk to one node,
-      the stage stops dealing; once nothing it dealt is still out it takes
-      the one-node rules, and the items that queued meanwhile are fetched
-      to its node from upstream in one bulk transfer.
+      the stage stops dealing; once nothing it dealt is still out or on
+      its way downstream it takes the one-node rules, and the items that
+      queued meanwhile are fetched to its node from upstream in one bulk
+      transfer.
 
     Raises [Invalid_argument] on a missing, empty or out-of-range set, or
-    when it would change the set of a stage that is migrating or has lost
-    items to replay. *)
+    when it would change the set of a stage that is migrating, fetching a
+    replay or a drain, or has lost items to replay — never while
+    {!reshapable} holds. *)
+
+val reshapable : t -> bool
+(** No stage is migrating, fetching a replay or a drain, or holding lost
+    items: {!set_replicas} accepts any valid sets. A controller waits for
+    this, as it waits on {!migrating} before a {!remap}. *)
 
 val outstanding : t -> stage:int -> int -> int
 (** [outstanding t ~stage node]: items of a replicated [stage] dealt to

@@ -473,6 +473,41 @@ let two_stage_scenario ~nodes =
 
 let collapse_at at level = [ (1, Loadgen.Step { at; level }) ]
 
+(* Under the round-robin deal a lone fast worker can beat any wider set:
+   with speeds 40, 15, 5, 5 the best set is {0}, and once node 0 collapses
+   it is {1}, so the controller moves the one-node farm. Its 5e8-byte state
+   takes 50 s to cross, several evaluation periods: the controller waits
+   for the move to land rather than commit it again or re-shape the moving
+   stage, and it prices the move. *)
+let test_repl_waits_for_migration () =
+  let scenario =
+    Scenario.make ~name:"slow-move"
+      ~make_topo:(fun engine ->
+        Topology.heterogeneous engine ~speeds:[| 40.0; 15.0; 5.0; 5.0 |] ~latency:1e-3
+          ~bandwidth:1e7 ())
+      ~loads:[ (0, Loadgen.Step { at = 5.0; level = 0.05 }) ]
+      ~stages:
+        [| Stage.make ~name:"task" ~output_bytes:1e3 ~state_bytes:5e8
+             ~work:(Aspipe_util.Variate.Constant 1.0) () |]
+      ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.05) ~items:200 ~item_bytes:1e3 ())
+      ~horizon:1e4 ()
+  in
+  let report = run_repl ~dispatch:Skel_sim.Round_robin ~scenario ~seed:3 () in
+  Alcotest.(check int) "all items" 200 (Trace.items_completed report.Adaptive_repl.trace);
+  Alcotest.(check (array (list int))) "started on the fast node" [| [ 0 ] |]
+    report.Adaptive_repl.initial_replicas;
+  Alcotest.(check (array (list int))) "moved to the next fastest" [| [ 1 ] |]
+    report.Adaptive_repl.final_replicas;
+  ignore
+    (List.fold_left
+       (fun previous (at, sets) ->
+         if Some sets = previous then Alcotest.failf "the same sets committed again at t=%.1f" at;
+         Some sets)
+       None report.Adaptive_repl.history);
+  match Trace.adaptations report.Adaptive_repl.trace with
+  | first :: _ -> Alcotest.(check bool) "the move is priced" true (first.Trace.migration_cost > 0.0)
+  | [] -> Alcotest.fail "no adaptation traced"
+
 let adaptive_repl_cases =
   [
     Alcotest.test_case "initial allocation" `Quick
@@ -530,6 +565,7 @@ let adaptive_farm_cases =
              (List.mem 1 r.Adaptive_repl.final_replicas.(0))));
     Alcotest.test_case "deterministic" `Quick
       (test_repl_deterministic ~dispatch ~scenario:(farm_scenario ()) ~seed:5);
+    Alcotest.test_case "waits for a migration to land" `Quick test_repl_waits_for_migration;
     Alcotest.test_case "adaptations traced" `Slow
       (test_repl_adaptations_traced ~dispatch
          ~scenario:(farm_scenario ~items:400 ~loads:(collapse_at 5.0 0.1) ())

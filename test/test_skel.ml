@@ -384,13 +384,35 @@ let farm () =
 let repl_topo ?(speeds = Array.make 6 10.0) engine =
   Topology.heterogeneous engine ~speeds ~latency:1e-4 ~bandwidth:1e9 ()
 
+(* Unequal links, for the order checks. Here a move between two nodes takes
+   0.01 s, and one within a node the local link's 1e-4 s. *)
+let wan_topo engine =
+  Topology.heterogeneous engine ~speeds:(Array.make 6 10.0) ~latency:0.01 ~bandwidth:1e9 ()
+
+let two_site_topo engine =
+  Topology.two_site engine ~site_a:(Array.make 3 10.0) ~site_b:(Array.make 3 10.0)
+    ~intra_latency:1e-3 ~intra_bandwidth:1e9 ~inter_latency:0.05 ~inter_bandwidth:1e6 ()
+
+(* One slow link, 2 s from node 1 to node 3, and user links of [user] s;
+   every other link takes 1e-3 s. A move over a slow link lands after moves
+   started later over fast ones. *)
+let slow_link_topo ?(user = 1e-3) engine =
+  Topology.custom engine
+    ~nodes:(Array.init 6 (fun id -> Node.create engine ~id ~speed:10.0 ()))
+    ~links:(fun ~src ~dst ->
+      Aspipe_grid.Link.create engine
+        ~latency:(if src = 1 && dst = 3 then 2.0 else 1e-3)
+        ~bandwidth:1e9 ())
+    ~user_links:(fun _ -> Aspipe_grid.Link.create engine ~latency:user ~bandwidth:1e9 ())
+
 (* Replication enters through the placement: each stage starts on its
    set's first node and is widened to the set before anything runs. *)
-let create_repl ?(items = 40) ?arrival ?dispatch ?speeds ~stages ~replicas engine =
+let create_repl ?(items = 40) ?arrival ?dispatch ?speeds ?(topo = repl_topo ?speeds) ~stages
+    ~replicas engine =
   let input = Stream_spec.make ?arrival ~items ~item_bytes:10.0 () in
   let trace = Trace.create () in
   let sim =
-    Skel_sim.create ?dispatch ~trace ~rng:(Rng.create 11) ~topo:(repl_topo ?speeds engine)
+    Skel_sim.create ?dispatch ~trace ~rng:(Rng.create 11) ~topo:(topo engine)
       ~stages
       ~mapping:(Array.map List.hd replicas)
       ~input ()
@@ -398,8 +420,10 @@ let create_repl ?(items = 40) ?arrival ?dispatch ?speeds ~stages ~replicas engin
   Skel_sim.set_replicas sim replicas;
   (sim, trace)
 
-let run_repl ?items ?dispatch ?speeds ~stages ~replicas () =
-  let sim, trace = create_repl ?items ?dispatch ?speeds ~stages ~replicas (Engine.create ()) in
+let run_repl ?items ?dispatch ?speeds ?topo ~stages ~replicas () =
+  let sim, trace =
+    create_repl ?items ?dispatch ?speeds ?topo ~stages ~replicas (Engine.create ())
+  in
   Skel_sim.run_to_completion sim;
   trace
 
@@ -476,8 +500,8 @@ let test_repl_shares ?dispatch ?speeds ~stages ~replicas ~items ~stage ~expected
     replicas.(stage) expected
 
 (* Completion order is the input order, and so are the completion stamps. *)
-let test_repl_order_restored ?dispatch ?speeds ~stages ~replicas ~items () =
-  let trace = run_repl ~items ?dispatch ?speeds ~stages ~replicas () in
+let test_repl_order_restored ?dispatch ?speeds ?topo ~stages ~replicas ~items () =
+  let trace = run_repl ~items ?dispatch ?speeds ?topo ~stages ~replicas () in
   Alcotest.(check (array int)) "order restored" (Array.init items Fun.id)
     (Array.map fst (Trace.completions trace));
   let times = Array.map snd (Trace.completions trace) in
@@ -503,12 +527,13 @@ let test_repl_validation ~stages ~bad () =
     bad
 
 (* Re-shape the replica sets at t = 4 s of a 10 s paced stream: the new sets
-   take effect, no item is lost, the order holds, and [stage] served items
-   on the old set before the switch and on the new set after it. *)
-let test_repl_set_replicas_mid_run ?dispatch ~stages ~before ~after ~stage () =
+   take effect, no item is lost, the order holds, no move between stages is
+   traced twice or from a stage that has no successor, and [stage] served
+   items on the old set before the switch and on the new set after it. *)
+let test_repl_set_replicas_mid_run ?dispatch ?topo ~stages ~before ~after ~stage () =
   let engine = Engine.create () in
   let sim, trace =
-    create_repl ~items:50 ~arrival:(Stream_spec.Spaced 0.2) ?dispatch ~stages
+    create_repl ~items:50 ~arrival:(Stream_spec.Spaced 0.2) ?dispatch ?topo ~stages
       ~replicas:before engine
   in
   ignore (Engine.schedule engine ~delay:4.0 (fun () -> Skel_sim.set_replicas sim after));
@@ -516,6 +541,14 @@ let test_repl_set_replicas_mid_run ?dispatch ~stages ~before ~after ~stage () =
   Alcotest.(check (array (list int))) "replica sets replaced" after (Skel_sim.replicas sim);
   Alcotest.(check (array int)) "all items out, in order" (Array.init 50 Fun.id)
     (Array.map fst (Trace.completions trace));
+  let moves = List.map (fun (x : Trace.transfer) -> (x.from_stage, x.item)) (Trace.transfers trace) in
+  List.iter
+    (fun (from_stage, item) ->
+      if from_stage < 0 || from_stage >= Array.length stages - 1 then
+        Alcotest.failf "item %d's move traced from stage %d" item from_stage)
+    moves;
+  Alcotest.(check int) "no move traced twice" (List.length moves)
+    (List.length (List.sort_uniq compare moves));
   let served nodes when_ =
     List.exists
       (fun (s : Trace.service) -> s.stage = stage && List.mem s.node nodes && when_ s.start)
@@ -585,6 +618,13 @@ let heavy_tailed_pipeline () =
     Stage.make ~output_bytes:10.0 ~work:(Variate.Lognormal { mu = -0.72; sigma = 1.2 }) ();
   |]
 
+(* The heavy-tailed stage in the interior, feeding a one-node stage. *)
+let heavy_tailed_interior () =
+  Array.append (heavy_tailed_pipeline ())
+    [| Stage.make ~output_bytes:10.0 ~work:(Variate.Constant 0.1) () |]
+
+let hot_interior () = Stage.imbalanced ~n:3 ~work:1.0 ~hot_stage:1 ~factor:3.0 ()
+
 let replica_set_cases =
   [
     Alcotest.test_case "single replica = pipeline" `Quick
@@ -597,9 +637,15 @@ let replica_set_cases =
     Alcotest.test_case "replicas all used" `Quick
       (test_repl_shares ~stages:(hot_pipeline ()) ~replicas:[| [ 0 ]; [ 1; 2; 3 ] |] ~items:60
          ~stage:1 ~expected:[ 20; 20; 20 ] ~tol:5);
-    Alcotest.test_case "order restored" `Quick
-      (test_repl_order_restored ~stages:(heavy_tailed_pipeline ())
-         ~replicas:[| [ 0 ]; [ 1; 2; 3; 4 ] |] ~items:100);
+    Alcotest.test_case "order restored" `Quick (fun () ->
+        test_repl_order_restored ~stages:(heavy_tailed_pipeline ())
+          ~replicas:[| [ 0 ]; [ 1; 2; 3; 4 ] |] ~items:100 ();
+        (* A replicated interior stage feeding a one-node stage over
+           unequal links: the replica on the receiver's node sends fastest. *)
+        test_repl_order_restored ~topo:wan_topo ~stages:(heavy_tailed_interior ())
+          ~replicas:[| [ 0 ]; [ 1; 2 ]; [ 2 ] |] ~items:100 ();
+        test_repl_order_restored ~topo:two_site_topo ~stages:(heavy_tailed_interior ())
+          ~replicas:[| [ 0 ]; [ 1; 3; 4 ]; [ 2 ] |] ~items:100 ());
     Alcotest.test_case "validation" `Quick
       (test_repl_validation ~stages:(Stage.balanced ~n:2 ~work:1.0 ())
          ~bad:
@@ -612,7 +658,15 @@ let replica_set_cases =
         test_repl_set_replicas_mid_run ~stages:(hot_pipeline ()) ~before:[| [ 0 ]; [ 1 ] |]
           ~after:[| [ 0 ]; [ 1; 2; 3 ] |] ~stage:1 ();
         test_repl_set_replicas_mid_run ~stages:(hot_pipeline ())
-          ~before:[| [ 0 ]; [ 1; 2; 3 ] |] ~after:[| [ 0 ]; [ 2 ] |] ~stage:1 ());
+          ~before:[| [ 0 ]; [ 1; 2; 3 ] |] ~after:[| [ 0 ]; [ 2 ] |] ~stage:1 ();
+        (* Stage 1 feeds a one-node stage; its output from node 1 takes 2 s,
+           from node 2 far less. Widening at t = 4 s, while a move from
+           node 1 is in flight, must not let node 2 overtake it, and neither
+           must shrinking to node 2. *)
+        test_repl_set_replicas_mid_run ~topo:slow_link_topo ~stages:(hot_interior ())
+          ~before:[| [ 0 ]; [ 1 ]; [ 3 ] |] ~after:[| [ 0 ]; [ 1; 2 ]; [ 3 ] |] ~stage:1 ();
+        test_repl_set_replicas_mid_run ~topo:slow_link_topo ~stages:(hot_interior ())
+          ~before:[| [ 0 ]; [ 1; 2 ]; [ 3 ] |] ~after:[| [ 0 ]; [ 2 ]; [ 3 ] |] ~stage:1 ());
     Alcotest.test_case "outstanding bounded by window" `Quick
       (test_repl_outstanding_bounds ~stages:(hot_pipeline ()) ~replicas:[| [ 0 ]; [ 1; 2 ] |]);
     Alcotest.test_case "last stage holds its slot until sent" `Quick
@@ -637,9 +691,17 @@ let farm_sim_cases =
          ~replicas:[| [ 0; 1 ] |] ~items:200 ~stage:0 ~expected:[ 160; 40 ] ~tol:11);
     Alcotest.test_case "single worker" `Quick
       (test_repl_single_replicas ~stages:(farm ()) ~replicas:[| [ 1 ] |] ~items:30);
-    Alcotest.test_case "set workers mid-run" `Quick
-      (test_repl_set_replicas_mid_run ~dispatch:rr ~stages:(farm ()) ~before:[| [ 0 ] |]
-         ~after:[| [ 1; 2 ] |] ~stage:0);
+    Alcotest.test_case "set workers mid-run" `Quick (fun () ->
+        test_repl_set_replicas_mid_run ~dispatch:rr ~stages:(farm ()) ~before:[| [ 0 ] |]
+          ~after:[| [ 1; 2 ] |] ~stage:0 ();
+        (* A slow first worker has a queue when the farm widens. *)
+        test_repl_set_replicas_mid_run ~dispatch:rr
+          ~topo:(repl_topo ~speeds:[| 4.0; 10.0; 10.0 |])
+          ~stages:(farm ()) ~before:[| [ 0 ] |] ~after:[| [ 1; 2 ] |] ~stage:0 ();
+        (* A 1 s user link has five arrivals in flight when the farm widens;
+           later ones must not overtake them. *)
+        test_repl_set_replicas_mid_run ~dispatch:rr ~topo:(slow_link_topo ~user:1.0)
+          ~stages:(farm ()) ~before:[| [ 0 ] |] ~after:[| [ 1; 2 ] |] ~stage:0 ());
     Alcotest.test_case "validation" `Quick
       (test_repl_validation ~stages:(farm ())
          ~bad:
