@@ -138,7 +138,8 @@ val set_replicas : t -> int list array -> unit
     - a one-node stage given several nodes starts dealing at once: its
       queued items are dealt from its node, and an item in service there
       finishes and releases first. An output move already in flight lands
-      before any release;
+      before any release, and arrivals on their way to its node are dealt
+      before later ones;
     - a replicated stage's new set takes effect for future deals; items
       already dealt to a removed replica finish there. Shrunk to one node,
       the stage stops dealing; once nothing it dealt is still out or on
