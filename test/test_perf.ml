@@ -139,15 +139,19 @@ let test_pqueue_cycle_allocation_budget () =
   if per_op > 16.0 then
     Alcotest.failf "pop_min/insert cycle allocated %.2f minor words/op" per_op
 
-(* Golden determinism: the campaign output for five registry experiments
+(* Golden determinism: the campaign output for seven registry experiments
    is byte-identical to the digests captured before the optimisation, and
    identical again under --jobs 4. E12 and E14 pin the farm and the
-   replicated pipeline. *)
+   replicated pipeline; E9 (forecaster MAE per signal family) and E17
+   (threshold and periodic re-maps on the dynamic grid) pin the forecaster
+   bank and the adaptation loop's search. *)
 let golden_campaign = [ ("E1", "28a482341504a86deef536622a83277c");
                         ("E3", "705233c8dcefc56efb2182bf2f3446ae");
                         ("E18", "d99e1d91c6ba0cf1d9f55a5ee1201040");
                         ("E12", "8b654be1b6b70c05f6b5d66200d47056");
-                        ("E14", "39e66d56eeb9ab90737e6c869cc8480f") ]
+                        ("E14", "39e66d56eeb9ab90737e6c869cc8480f");
+                        ("E9", "633b1cb900149aea5f704734dffa4a84");
+                        ("E17", "04786c4d0fb9d2f62d3c373ee15adc1e") ]
 
 let campaign_digests ?(oversubscribe = false) ~jobs () =
   let report =
