@@ -45,8 +45,8 @@
           ... --mc --mc-items N              (override the items axis)
           ... --search [--quick]             (mapping-search sweep: old
                                               materializing exhaustive vs
-                                              incremental Gray walk vs
-                                              branch-and-bound vs the
+                                              unpruned table-driven walk
+                                              vs branch-and-bound vs the
                                               chunked parallel backend,
                                               over stages x processors;
                                               result-checked, gated,
@@ -631,11 +631,14 @@ let run_mc ~quick ~out ~items_override =
 
    - old: the historical materializing path — [Mapping.enumerate] into a
      list, full [Analytic.throughput] per candidate ([Search.exhaustive_ref]);
-   - gray: zero-allocation Gray-order walk on [Analytic.Incr], every
-     candidate still scored — isolates the incremental-evaluator win;
-   - b&b: branch-and-bound + symmetry canonicalization
-     ([Search.exhaustive_spec]) — the production serial path; its "scored"
-     column shows how few leaves survive pruning;
+   - gray: the unpruned table-driven walk
+     ([Search.exhaustive_spec ~prune:false ~canonical:false]), every
+     candidate still scored — isolates the table-driven leaf score; the
+     column keeps the name and JSON key of the Gray-order walk it replaced;
+   - b&b: branch-and-bound (processor and cycle-station bounds, best bound
+     first) + symmetry canonicalization ([Search.exhaustive_spec]) — the
+     production serial path; its "scored" column shows how few leaves
+     survive pruning;
    - par: the chunked parallel backend over the domain pool.
 
    The gate is on time-to-decision: b&b must be no slower than old at every
@@ -688,7 +691,7 @@ let run_search ~quick ~out ~jobs =
         (9, 4, false); (10, 4, false);
       ]
   in
-  Printf.printf "######## Mapping-search bench (old vs incremental) ########\n";
+  Printf.printf "######## Mapping-search bench (old vs table-driven) ########\n";
   Printf.printf "cores: %d | pool workers: %d\n" cores jobs;
   let pool = Aspipe_runner.Pool.create ~workers:jobs () in
   let par = { Search.pmap = (fun f xs -> Aspipe_runner.Pool.map_list pool f xs) } in
@@ -766,9 +769,9 @@ let run_search ~quick ~out ~jobs =
           Json.String
             "mapping-search sweep: per shape, best-of-3 timed runs (looped to >= 20ms for \
              sub-ms backends); old = materialized enumerate + full evaluator, gray = \
-             incremental Gray-order walk (all candidates scored), bb = branch-and-bound + \
-             symmetry canonicalization, par = chunked parallel backend; all backends \
-             result-checked identical" );
+             unpruned table-driven walk (all candidates scored), bb = table-driven \
+             branch-and-bound + symmetry canonicalization, par = chunked parallel backend; \
+             all backends result-checked identical" );
         ( "search",
           Json.Obj
             [

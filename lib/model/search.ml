@@ -110,8 +110,9 @@ let auto ?(exhaustive_limit = default_exhaustive_limit) ~stages ~processors eval
       let refined = hill_climb ~start:greedy_result.mapping ~processors evaluator in
       { refined with evaluated = refined.evaluated + greedy_result.evaluated }
 
-(* ------------------------------------------------------------------ *)
-(* Spec-specialized fast paths on [Analytic.Incr].                     *)
+(* ------------------------------------------------------------------- *)
+(* Spec-specialized fast paths: a table-driven branch-and-bound, and   *)
+(* the chunked and hill-climbing walks on [Analytic.Incr].             *)
 
 (* Processors [p] and [q] are interchangeable when transposing them leaves
    the spec bit-identical: equal node rates and user-link costs, and
@@ -208,24 +209,100 @@ let check_space ?fix_first_on ~stages ~processors ~cap () =
   | Some n -> n
   | None -> invalid_arg "Mapping.enumerate: assignment space too large"
 
-(* Branch-and-bound DFS over assignment prefixes, scoring leaves with
-   [Analytic.Incr]. Stages are assigned in increasing index order, so each
-   prefix's per-processor work sums are stage-order left folds — prefixes of
-   the exact sums the evaluator computes. Adding work to a processor can
-   only lower its capacity station (float division by a left-fold-larger sum
-   is monotone), so
+(* Per-search cost tables of the branch-and-bound walk. Every entry is
+   computed operation for operation as [Costspec.service_rate],
+   [Costspec.move_rate] and [Analytic.stage_cycle_time] compute it, so a
+   cycle station assembled from them is bit-identical to the one
+   [Analytic.throughput] folds.
 
-     bound = min over processors of (node_rate / work-so-far)
+   - [service.((s * np + p) * ns + k - 1)]: stage [s]'s service time on
+     processor [p] when [k] stages share it;
+   - [move_out.((s * np + src) * np + dst)]: stage [s]'s output-move time
+     from [src] to [dst], for [s < ns - 1];
+   - [user_out.(src)]: the last stage's move to the user from [src];
+   - [cheapest_out.(s * np + src)]: the least move-out time of stage [s]
+     placed on [src], over every destination. *)
+type cost_tables = {
+  service : float array;
+  move_out : float array;
+  user_out : float array;
+  cheapest_out : float array;
+}
 
-   is an upper bound, {e in float arithmetic}, on every leaf score below the
-   prefix: each leaf's throughput is ≤ its own capacity stations, which are
-   ≤ the prefix's. Pruning is on strict [bound < best] only — equal-score
-   subtrees must be visited because the DFS order is not ascending-code, and
-   the contract is lowest-code-wins among ties. *)
+(* [Costspec]'s conventions: a non-positive time is an infinite rate, and
+   [stage_cycle_time] counts an infinite rate as 0 s. *)
+let[@inline] rate_of_time time = if time <= 0.0 then infinity else 1.0 /. time
+let time_of_rate rate = if rate = infinity then 0.0 else 1.0 /. rate
+
+(* The lesser of two stations, as [Analytic.bottleneck]'s fold picks it. *)
+let[@inline] lower (a : float) b = if b < a then b else a
+
+let cost_tables (spec : Costspec.t) =
+  let ns = Costspec.stages spec and np = Costspec.processors spec in
+  let work = spec.Costspec.stage_work and out_bytes = spec.Costspec.output_bytes in
+  let service =
+    Array.init (ns * np * ns) (fun idx ->
+        let s = idx / (np * ns) and p = idx / ns mod np and k = (idx mod ns) + 1 in
+        let w = work.(s) in
+        time_of_rate
+          (if w <= 0.0 then infinity
+           else spec.Costspec.node_rates.(p) /. (w *. Float.of_int k)))
+  in
+  let move_out =
+    Array.init
+      (max 0 (ns - 1) * np * np)
+      (fun idx ->
+        let s = idx / (np * np) and src = idx / np mod np and dst = idx mod np in
+        time_of_rate (rate_of_time (Costspec.transfer_cost spec ~src ~dst ~bytes:out_bytes.(s))))
+  in
+  let user_out =
+    if ns = 0 then [||]
+    else
+      Array.init np (fun src ->
+          time_of_rate
+            (rate_of_time
+               (spec.Costspec.user_latency.(src)
+               +. (out_bytes.(ns - 1) /. spec.Costspec.user_bandwidth.(src)))))
+  in
+  let cheapest_out =
+    Array.init (ns * np) (fun idx ->
+        let s = idx / np and src = idx mod np in
+        if s = ns - 1 then user_out.(src)
+        else begin
+          let least = ref infinity in
+          for dst = 0 to np - 1 do
+            least := lower !least move_out.((idx * np) + dst)
+          done;
+          !least
+        end)
+  in
+  { service; move_out; user_out; cheapest_out }
+
+(* Branch-and-bound DFS over assignment prefixes. Stages are assigned in
+   increasing index order, so the per-processor work sums the walk carries
+   are stage-order left folds — prefixes of the exact sums
+   [Analytic.stations] computes — and a leaf is scored exactly from them
+   plus the cost tables.
+
+   A prefix's bound is the least of the stations it already caps:
+
+   - every processor's capacity station (node_rate / work-so-far): adding
+     work only lowers it;
+   - stage s−1's cycle station once stage s is placed, at the sharing count
+     of its processor so far;
+   - stage s's cycle station with its cheapest move-out.
+
+   A sharing count only grows as stages are added, and every IEEE
+   operation in a cycle time is monotone (product, quotient, reciprocal,
+   sum), so each of these is an upper bound, {e in float arithmetic}, on
+   the corresponding station of every leaf below the prefix. Children are
+   visited best bound first; pruning is on strict [bound < best] only, and
+   ties between leaves are broken by enumeration code, not by visit order,
+   so the walk returns the lowest-code winner whatever order it finds it
+   in. *)
 let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
   let ns = Costspec.stages spec and np = Costspec.processors spec in
-  let total = check_space ?fix_first_on ~stages:ns ~processors:np ~cap:Mapping.max_enumeration () in
-  ignore total;
+  ignore (check_space ?fix_first_on ~stages:ns ~processors:np ~cap:Mapping.max_enumeration ());
   let start = match fix_first_on with Some _ -> 1 | None -> 0 in
   (match fix_first_on with
   | Some p when p < 0 || p >= np -> invalid_arg "Mapping.enumerate: fix_first_on out of range"
@@ -241,77 +318,135 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
     !nontrivial
   in
   let pred = class_predecessors class_of in
-  let used = Array.make np 0 in
-  let work = spec.Costspec.stage_work in
-  let rates = spec.Costspec.node_rates in
-  let bound_work = Array.make np 0.0 in
-  let m0 = Array.make ns 0 in
+  let work = spec.Costspec.stage_work and rates = spec.Costspec.node_rates in
+  let { service; move_out; user_out; cheapest_out } = cost_tables spec in
+  let assign = Array.make ns 0 in
+  let count = Array.make np 0 in
+  let pwork = Array.make np 0.0 in
+  (* Per depth s (stages < s placed): [pmin] is the least processor station
+     — exact at a leaf, since a processor's station only falls as work is
+     added — and [bound] adds the cycle bounds. *)
+  let pmin = Array.make (ns + 1) infinity in
+  let bound = Array.make (ns + 1) infinity in
+  (* The children of the depth-s prefix, at offset [s * np], best bound
+     first: processor, its [pmin], its [bound]. *)
+  let kid = Array.make (ns * np) 0 in
+  let kid_pmin = Array.make (ns * np) 0.0 in
+  let kid_bound = Array.make (ns * np) 0.0 in
   (match fix_first_on with
   | Some p ->
-      m0.(0) <- p;
-      used.(p) <- 1;
-      bound_work.(p) <- 0.0 +. work.(0)
+      assign.(0) <- p;
+      count.(p) <- 1;
+      pwork.(p) <- 0.0 +. work.(0);
+      pmin.(1) <- (if pwork.(p) <= 0.0 then infinity else rates.(p) /. pwork.(p));
+      bound.(1) <- lower pmin.(1) (rate_of_time (service.(p * ns) +. cheapest_out.(p)))
   | None -> ());
-  let root_bound =
-    match fix_first_on with
-    | Some p -> if bound_work.(p) <= 0.0 then infinity else rates.(p) /. bound_work.(p)
-    | None -> infinity
-  in
   let pow = Array.make (ns - start) 1 in
   for k = 1 to ns - start - 1 do
     pow.(k) <- pow.(k - 1) * np
   done;
-  let incr_state = Analytic.Incr.create spec (Mapping.of_array ~processors:np m0) in
   let scored = ref 0 in
   let have = ref false in
   let best_score = ref neg_infinity in
   let best_code = ref max_int in
   let best_assign = ref [||] in
-  let rec dfs s bound code =
-    if s = ns then begin
-      incr scored;
-      let score = Analytic.Incr.score incr_state in
-      if (not !have) || score >= !best_score then begin
-        let leaf = Array.init ns (Analytic.Incr.assignment incr_state) in
-        if canonical then begin
-          (* The representative's score is the whole symmetry class's score;
-             rank the class by its minimal-code member so the winner is the
-             same assignment the plain ascending-code walk returns. *)
-          let relabeled, ccode = relabel_min_code ?fix_first_on ~class_of leaf in
-          if (not !have) || score > !best_score || ccode < !best_code then begin
-            have := true;
-            best_score := score;
-            best_code := ccode;
-            best_assign := relabeled
-          end
-        end
-        else if (not !have) || score > !best_score || code < !best_code then begin
+  let leaf code =
+    incr scored;
+    (* The processor stations, then every stage's cycle station at its
+       final sharing count; stop once the leaf provably loses. *)
+    let score = ref pmin.(ns) in
+    let s = ref 0 in
+    while !s < ns && not (!have && !score < !best_score) do
+      let p = assign.(!s) in
+      let out =
+        if !s = ns - 1 then user_out.(p) else move_out.((((!s * np) + p) * np) + assign.(!s + 1))
+      in
+      score := lower !score (rate_of_time (service.((((!s * np) + p) * ns) + count.(p) - 1) +. out));
+      incr s
+    done;
+    let score = !score in
+    if (not !have) || score >= !best_score then begin
+      if canonical then begin
+        (* The representative's score is the whole symmetry class's score;
+           rank the class by its minimal-code member so the winner is the
+           same assignment the plain ascending-code walk returns. *)
+        let relabeled, ccode = relabel_min_code ?fix_first_on ~class_of assign in
+        if (not !have) || score > !best_score || ccode < !best_code then begin
           have := true;
           best_score := score;
-          best_code := code;
-          best_assign := leaf
+          best_code := ccode;
+          best_assign := relabeled
         end
       end
+      else if (not !have) || score > !best_score || code < !best_code then begin
+        have := true;
+        best_score := score;
+        best_code := code;
+        best_assign := Array.copy assign
+      end
     end
-    else
-      for q = 0 to np - 1 do
-        if (not canonical) || pred.(q) < 0 || used.(pred.(q)) > 0 then begin
-          let saved = bound_work.(q) in
-          let w = saved +. work.(s) in
-          bound_work.(q) <- w;
-          let station = if w <= 0.0 then infinity else rates.(q) /. w in
-          let bound' = Float.min bound station in
-          if (not prune) || (not !have) || not (bound' < !best_score) then begin
-            Analytic.Incr.move incr_state ~stage:s q;
-            used.(q) <- used.(q) + 1;
-            dfs (s + 1) bound' (code + (q * pow.(s - start)));
-            used.(q) <- used.(q) - 1
-          end;
-          bound_work.(q) <- saved
-        end
-      done
   in
-  dfs start root_bound 0;
+  (* [best_score] only rises, so a child whose bound already loses is
+     dropped before it is ranked, and the best-first visit stops at the
+     first child that loses. *)
+  let loses b = prune && !have && b < !best_score in
+  let rec dfs s code =
+    if s = ns then leaf code
+    else begin
+      let base = s * np in
+      let n = ref 0 in
+      for q = 0 to np - 1 do
+        if (not canonical) || pred.(q) < 0 || count.(pred.(q)) > 0 then begin
+          let w = pwork.(q) +. work.(s) in
+          let pm = lower pmin.(s) (if w <= 0.0 then infinity else rates.(q) /. w) in
+          let sharing = count.(q) + 1 in
+          let own =
+            rate_of_time (service.(((base + q) * ns) + sharing - 1) +. cheapest_out.(base + q))
+          in
+          let b = lower (lower bound.(s) pm) own in
+          let b =
+            if s = 0 then b
+            else begin
+              let p = assign.(s - 1) in
+              let sharing = if p = q then sharing else count.(p) in
+              let up = ((s - 1) * np) + p in
+              lower b (rate_of_time (service.((up * ns) + sharing - 1) +. move_out.((up * np) + q)))
+            end
+          in
+          if not (loses b) then begin
+            (* Insertion into the best-first order; equal bounds keep
+               processor order. *)
+            let j = ref !n in
+            while !j > 0 && kid_bound.(base + !j - 1) < b do
+              kid.(base + !j) <- kid.(base + !j - 1);
+              kid_pmin.(base + !j) <- kid_pmin.(base + !j - 1);
+              kid_bound.(base + !j) <- kid_bound.(base + !j - 1);
+              decr j
+            done;
+            kid.(base + !j) <- q;
+            kid_pmin.(base + !j) <- pm;
+            kid_bound.(base + !j) <- b;
+            incr n
+          end
+        end
+      done;
+      let j = ref 0 in
+      while !j < !n && not (loses kid_bound.(base + !j)) do
+        let q = kid.(base + !j) in
+        let saved = pwork.(q) in
+        pwork.(q) <- saved +. work.(s);
+        count.(q) <- count.(q) + 1;
+        assign.(s) <- q;
+        pmin.(s + 1) <- kid_pmin.(base + !j);
+        bound.(s + 1) <- kid_bound.(base + !j);
+        dfs (s + 1) (code + (q * pow.(s - start)));
+        count.(q) <- count.(q) - 1;
+        pwork.(q) <- saved;
+        incr j
+      done
+    end
+  in
+  dfs start 0;
   {
     mapping = Mapping.of_array ~processors:np !best_assign;
     score = !best_score;

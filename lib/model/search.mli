@@ -12,8 +12,9 @@
     the pruned/canonicalized branch-and-bound, and the chunked parallel
     search — resolves equal scores to the candidate with the {e lowest
     enumeration code} (see {!Mapping.decode}). Scores compare by exact float
-    equality, which is meaningful because {!Analytic.Incr} is bit-identical
-    to the full evaluator. The contract is what makes serial, pruned, and
+    equality, which is meaningful because {!Analytic.Incr} and the
+    branch-and-bound's table-driven leaf score are bit-identical to the
+    full evaluator. The contract is what makes serial, pruned, and
     [--jobs N] searches return byte-identical mappings. *)
 
 type evaluator = Mapping.t -> float
@@ -48,18 +49,24 @@ val exhaustive_ref :
 
 val exhaustive_spec :
   ?fix_first_on:int -> ?prune:bool -> ?canonical:bool -> Costspec.t -> result
-(** Exhaustive search on the incremental evaluator. With [prune] (default
-    [true]) a branch-and-bound prefix bound — adding work to a processor
-    only lowers its capacity station — skips subtrees that provably cannot
-    beat the incumbent (strict inequality only, preserving the tie-break).
-    With [canonical] (default [true]) processors whose rates and link costs
-    are exactly interchangeable are collapsed: only one representative per
-    symmetry class is scored (up to p! shrinkage on uniform grids) and the
-    winner is relabeled to its class's lowest-code member. [evaluated]
-    counts scored leaves, so it shrinks under pruning/canonicalization;
-    with both disabled this is the pure Gray-order incremental walk and
-    [evaluated] equals the space size. The returned mapping and score are
-    identical to {!exhaustive} on [Analytic.throughput spec]. *)
+(** Exhaustive search as one depth-first walk over assignment prefixes.
+    Each search tabulates the service time per (stage, node, sharing count)
+    and the output-move time per (stage, src, dst), and scores a leaf from
+    those tables and the per-processor work sums the walk carries. With
+    [prune] (default [true]) a prefix bound skips subtrees that provably
+    cannot beat the incumbent (strict inequality only, preserving the
+    tie-break): every processor's capacity station so far, the cycle
+    station of the previous stage at its current sharing count, and the
+    placed stage's cycle station with its cheapest move-out. Children are
+    visited best bound first. With [canonical] (default [true]) processors
+    whose rates and link costs are exactly interchangeable are collapsed:
+    only one representative per symmetry class is scored (up to p!
+    shrinkage on uniform grids) and the winner is relabeled to its class's
+    lowest-code member. [evaluated] counts scored leaves, so it shrinks
+    under pruning/canonicalization; with both disabled the walk scores
+    every assignment and [evaluated] equals the space size. The returned
+    mapping and score are identical to {!exhaustive} on
+    [Analytic.throughput spec]. *)
 
 val exhaustive_par :
   ?fix_first_on:int -> ?par:par -> ?chunks:int -> Costspec.t -> result

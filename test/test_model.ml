@@ -741,10 +741,13 @@ let test_iter_neighbours_matches_neighbours () =
    about: zero-work stages, [infinity] node rates, duplicated rates and
    uniform link matrices (so processor-symmetry classes are non-trivial),
    plus fully heterogeneous draws. *)
-let gen_spec =
+(* Random specs with [stages] stages on [processors] nodes. Link latencies
+   are drawn up to [max_latency] s and payloads up to [max_bytes] bytes; a
+   uniform draw uses [max_latency / 5] everywhere. *)
+let gen_spec_of ~stages ~processors ~max_latency ~max_bytes =
   QCheck2.Gen.(
-    let* stages = int_range 1 5 in
-    let* processors = int_range 1 4 in
+    let* stages = stages in
+    let* processors = processors in
     let* uniform = bool in
     let rate =
       if uniform then oneofl [ 5.0; 10.0; infinity ]
@@ -753,12 +756,14 @@ let gen_spec =
     let work = oneof [ float_range 0.1 3.0; oneofl [ 0.0; 1.0 ] ] in
     let* stage_work = array_size (return stages) work in
     let* node_rates = array_size (return processors) rate in
-    let* item_bytes = float_range 0.0 2e4 in
-    let* output_bytes = array_size (return stages) (float_range 0.0 2e4) in
-    let* base_latency = if uniform then return 0.01 else float_range 0.0 0.05 in
+    let* item_bytes = float_range 0.0 max_bytes in
+    let* output_bytes = array_size (return stages) (float_range 0.0 max_bytes) in
+    let* base_latency =
+      if uniform then return (max_latency /. 5.0) else float_range 0.0 max_latency
+    in
     let* base_bandwidth = if uniform then return 1e6 else float_range 1e5 1e7 in
     let* latency_cells =
-      array_size (return (processors * processors)) (float_range 0.0 0.05)
+      array_size (return (processors * processors)) (float_range 0.0 max_latency)
     in
     let* bandwidth_cells =
       array_size (return (processors * processors)) (float_range 1e5 1e7)
@@ -782,9 +787,24 @@ let gen_spec =
         output_bytes;
         latency;
         bandwidth;
-        user_latency = Array.make processors (if uniform then 0.01 else base_latency);
-        user_bandwidth = Array.make processors (if uniform then 1e6 else base_bandwidth);
+        user_latency = Array.make processors base_latency;
+        user_bandwidth = Array.make processors base_bandwidth;
       })
+
+let gen_spec =
+  gen_spec_of ~stages:(QCheck2.Gen.int_range 1 5) ~processors:(QCheck2.Gen.int_range 1 4)
+    ~max_latency:0.05 ~max_bytes:2e4
+
+(* Slow, fat links: moves take up to seconds, so the stage-cycle stations
+   bind and the branch-and-bound's cycle bounds are what prune. *)
+let gen_link_bound_spec =
+  gen_spec_of ~stages:(QCheck2.Gen.int_range 1 5) ~processors:(QCheck2.Gen.int_range 1 4)
+    ~max_latency:0.5 ~max_bytes:1e6
+
+(* Deep pipelines: up to 4^7 assignments, where pruning happens at depth. *)
+let gen_deep_spec =
+  gen_spec_of ~stages:(QCheck2.Gen.int_range 6 7) ~processors:(QCheck2.Gen.int_range 1 4)
+    ~max_latency:0.05 ~max_bytes:2e4
 
 let bits = Int64.bits_of_float
 
@@ -816,29 +836,63 @@ let check_results_identical name (a : Search.result) (b : Search.result) =
   Alcotest.(check int64) (name ^ ": same score bits") (bits a.Search.score)
     (bits b.Search.score)
 
+(* Every exhaustive backend returns the reference's mapping and score bits;
+   the unpruned, uncanonicalized walk and the generic and chunked walks
+   also score exactly the full space. *)
+let exhaustive_backends_agree (spec, seed) =
+  let stages = Costspec.stages spec and processors = Costspec.processors spec in
+  let fix_first_on =
+    if seed mod 3 = 0 && stages > 1 then Some (seed mod processors) else None
+  in
+  let reference =
+    Search.exhaustive_ref ?fix_first_on ~stages ~processors (Analytic.throughput spec)
+  in
+  let same (r : Search.result) =
+    Mapping.equal r.Search.mapping reference.Search.mapping
+    && bits r.Search.score = bits reference.Search.score
+  in
+  let full (r : Search.result) = same r && r.Search.evaluated = reference.Search.evaluated in
+  full (Search.exhaustive ?fix_first_on ~stages ~processors (Analytic.throughput spec))
+  && full (Search.exhaustive_spec ?fix_first_on ~prune:false ~canonical:false spec)
+  && same (Search.exhaustive_spec ?fix_first_on ~prune:true ~canonical:false spec)
+  && same (Search.exhaustive_spec ?fix_first_on ~prune:false ~canonical:true spec)
+  && same (Search.exhaustive_spec ?fix_first_on spec)
+  && full (Search.exhaustive_par ?fix_first_on ~chunks:1 spec)
+  && full (Search.exhaustive_par ?fix_first_on ~chunks:5 spec)
+
 let test_exhaustive_backends_agree =
   qtest ~count:200 "all exhaustive backends return the reference result"
     QCheck2.Gen.(pair gen_spec (int_range 0 1000))
-    (fun (spec, seed) ->
-      let stages = Costspec.stages spec and processors = Costspec.processors spec in
-      let fix_first_on =
-        if seed mod 3 = 0 && stages > 1 then Some (seed mod processors) else None
-      in
-      let reference =
-        Search.exhaustive_ref ?fix_first_on ~stages ~processors (Analytic.throughput spec)
-      in
-      let same (r : Search.result) =
-        Mapping.equal r.Search.mapping reference.Search.mapping
-        && bits r.Search.score = bits reference.Search.score
-      in
-      let full (r : Search.result) = same r && r.Search.evaluated = reference.Search.evaluated in
-      full (Search.exhaustive ?fix_first_on ~stages ~processors (Analytic.throughput spec))
-      && full (Search.exhaustive_spec ?fix_first_on ~prune:false ~canonical:false spec)
-      && same (Search.exhaustive_spec ?fix_first_on ~prune:true ~canonical:false spec)
-      && same (Search.exhaustive_spec ?fix_first_on ~prune:false ~canonical:true spec)
-      && same (Search.exhaustive_spec ?fix_first_on spec)
-      && full (Search.exhaustive_par ?fix_first_on ~chunks:1 spec)
-      && full (Search.exhaustive_par ?fix_first_on ~chunks:5 spec))
+    exhaustive_backends_agree
+
+let test_exhaustive_backends_agree_link_bound =
+  qtest ~count:200 "all exhaustive backends return the reference result on link-bound specs"
+    QCheck2.Gen.(pair gen_link_bound_spec (int_range 0 1000))
+    exhaustive_backends_agree
+
+let test_exhaustive_backends_agree_deep =
+  qtest ~count:10 "all exhaustive backends return the reference result on 6-7 stages"
+    QCheck2.Gen.(pair gen_deep_spec (int_range 0 1000))
+    exhaustive_backends_agree
+
+(* The cycle bounds must make the branch-and-bound prune harder, never
+   less: E6's quick rows scored 5, 32 and 362 leaves under the
+   processor-station bound alone. *)
+let test_e6_pruning_guard () =
+  let rows = Aspipe_exp.Exp_scale.e6_rows ~quick:true in
+  let parent = [ ((3, 3), 5); ((4, 4), 32); ((6, 6), 362) ] in
+  List.iter
+    (fun (r : Aspipe_exp.Exp_scale.e6_row) ->
+      match List.assoc_opt (r.stages, r.processors) parent with
+      | None -> Alcotest.failf "unexpected E6 row %dx%d" r.stages r.processors
+      | Some before ->
+          if r.incr_scored > before then
+            Alcotest.failf "%dx%d scores %d leaves, more than the %d before" r.stages
+              r.processors r.incr_scored before;
+          if (r.stages, r.processors) = (6, 6) && r.incr_scored >= before then
+            Alcotest.failf "6x6 scores %d leaves, not fewer than the %d before"
+              r.incr_scored before)
+    rows
 
 let test_hill_climb_spec_matches_generic =
   qtest ~count:200 "hill_climb_spec replicates the generic climb exactly"
@@ -898,7 +952,7 @@ let test_exhaustive_tie_break_lowest_code () =
     (Search.exhaustive_ref ~stages:4 ~processors:3 (Analytic.throughput spec));
   check_backend "generic iterator"
     (Search.exhaustive ~stages:4 ~processors:3 (Analytic.throughput spec));
-  check_backend "gray walk" (Search.exhaustive_spec ~prune:false ~canonical:false spec);
+  check_backend "unpruned walk" (Search.exhaustive_spec ~prune:false ~canonical:false spec);
   check_backend "pruned" (Search.exhaustive_spec ~canonical:false spec);
   check_backend "canonicalized" (Search.exhaustive_spec spec);
   check_backend "parallel 7 chunks" (Search.exhaustive_par ~chunks:7 spec)
@@ -1058,6 +1112,9 @@ let () =
             test_search_parallel_pool_byte_identical;
           Alcotest.test_case "exhaustive limit raised 10x" `Quick
             test_default_exhaustive_limit_raised;
+          test_exhaustive_backends_agree_link_bound;
+          test_exhaustive_backends_agree_deep;
+          Alcotest.test_case "cycle bounds prune E6 harder" `Quick test_e6_pruning_guard;
         ] );
       ( "predictor",
         [
