@@ -4,44 +4,59 @@ type core = {
   predict_core : unit -> float;
 }
 
+(* Running error sums in an all-float record, so updating them allocates
+   nothing. *)
+type errors = { mutable sq_sum : float; mutable abs_sum : float }
+
+(* Every core's prediction depends only on its state, which only [observe]
+   changes, so [observe] asks the core once and [predict] reads the cached
+   answer. *)
 type t = {
   core : core;
   fallback : float;
+  mutable prediction : float; (* the core's answer after the last observation *)
   mutable observations : int;
-  mutable error_sq_sum : float;
-  mutable error_abs_sum : float;
+  errors : errors;
   mutable errors_counted : int;
   bank : t list; (* non-empty only for the adaptive ensemble *)
 }
 
 let name t = t.core.name
 
-let predict t = if t.observations = 0 then t.fallback else t.core.predict_core ()
+let predict t = if t.observations = 0 then t.fallback else t.prediction
 
 let rec observe t x =
   if t.observations > 0 then begin
     (* Score the prediction that was in force before this measurement. *)
     let err = predict t -. x in
-    t.error_sq_sum <- t.error_sq_sum +. (err *. err);
-    t.error_abs_sum <- t.error_abs_sum +. Float.abs err;
+    t.errors.sq_sum <- t.errors.sq_sum +. (err *. err);
+    t.errors.abs_sum <- t.errors.abs_sum +. Float.abs err;
     t.errors_counted <- t.errors_counted + 1
   end;
-  List.iter (fun member -> observe member x) t.bank;
+  observe_bank t.bank x;
   t.core.observe_core x;
-  t.observations <- t.observations + 1
+  t.observations <- t.observations + 1;
+  t.prediction <- t.core.predict_core ()
+
+and observe_bank bank x =
+  match bank with
+  | [] -> ()
+  | member :: rest ->
+      observe member x;
+      observe_bank rest x
 
 let mse t =
-  if t.errors_counted = 0 then nan else t.error_sq_sum /. Float.of_int t.errors_counted
+  if t.errors_counted = 0 then nan else t.errors.sq_sum /. Float.of_int t.errors_counted
 
 let mae t =
-  if t.errors_counted = 0 then nan else t.error_abs_sum /. Float.of_int t.errors_counted
+  if t.errors_counted = 0 then nan else t.errors.abs_sum /. Float.of_int t.errors_counted
 
 let make ?(fallback = 0.0) core = {
   core;
   fallback;
+  prediction = fallback;
   observations = 0;
-  error_sq_sum = 0.0;
-  error_abs_sum = 0.0;
+  errors = { sq_sum = 0.0; abs_sum = 0.0 };
   errors_counted = 0;
   bank = [];
 }
@@ -60,35 +75,56 @@ let running_mean ?fallback () =
       predict_core = (fun () -> Stats.Welford.mean acc);
     }
 
-let window_buffer window =
-  if window <= 0 then invalid_arg "Forecast: window must be positive";
-  let buf = Array.make window 0.0 in
-  let filled = ref 0 in
-  let next = ref 0 in
-  let push x =
-    buf.(!next) <- x;
-    next := (!next + 1) mod window;
-    if !filled < window then incr filled
-  in
-  let contents () = Array.init !filled (fun i -> buf.((!next - !filled + i + (2 * window)) mod window)) in
-  (push, contents)
+(* The last [window] measurements in a ring; [at w i] is the [i]-th oldest. *)
+type window = { buf : float array; mutable filled : int; mutable next : int }
 
+let window_create window =
+  if window <= 0 then invalid_arg "Forecast: window must be positive";
+  { buf = Array.make window 0.0; filled = 0; next = 0 }
+
+let window_push w x =
+  let size = Array.length w.buf in
+  w.buf.(w.next) <- x;
+  w.next <- (w.next + 1) mod size;
+  if w.filled < size then w.filled <- w.filled + 1
+
+let at w i =
+  let size = Array.length w.buf in
+  w.buf.((w.next - w.filled + i + size) mod size)
+
+(* [Stats.mean] over the window, oldest first: the same left fold from 0. *)
 let sliding_mean ?fallback ~window () =
-  let push, contents = window_buffer window in
+  let w = window_create window in
   make ?fallback
     {
       name = Printf.sprintf "mean_%d" window;
-      observe_core = push;
-      predict_core = (fun () -> Stats.mean (contents ()));
+      observe_core = window_push w;
+      predict_core =
+        (fun () ->
+          let sum = ref 0.0 in
+          for i = 0 to w.filled - 1 do
+            sum := !sum +. at w i
+          done;
+          !sum /. Float.of_int w.filled);
     }
 
+(* [Stats.median] over the window: the oldest-first copy, sorted by the
+   same [Stats.sort_floats], in a scratch buffer once the window is full. *)
 let sliding_median ?fallback ~window () =
-  let push, contents = window_buffer window in
+  let w = window_create window in
+  let scratch = Array.make window 0.0 in
   make ?fallback
     {
       name = Printf.sprintf "median_%d" window;
-      observe_core = push;
-      predict_core = (fun () -> Stats.median (contents ()));
+      observe_core = window_push w;
+      predict_core =
+        (fun () ->
+          let sorted = if w.filled = window then scratch else Array.make w.filled 0.0 in
+          for i = 0 to w.filled - 1 do
+            sorted.(i) <- at w i
+          done;
+          Stats.sort_floats sorted;
+          Stats.quantile_sorted sorted 0.5);
     }
 
 let ewma ?fallback ~gain () =

@@ -16,7 +16,8 @@ val observe : t -> float -> unit
     [predict] returns [fallback] (default [0.]). *)
 
 val predict : t -> float
-(** [predict t] is the forecast of the next measurement. *)
+(** [predict t] is the forecast of the next measurement. O(1): {!observe}
+    computes each forecaster's prediction once and caches it. *)
 
 val mse : t -> float
 (** [mse t] is the running mean squared one-step-ahead error of this

@@ -52,12 +52,74 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let quantile xs q =
-  let n = Array.length xs in
+(* The largest of node [i]'s (up to three) children below [l] in the
+   ternary heap, or -1 when [i] has none. *)
+let maxson (a : float array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x = if Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1 else i31 in
+    if Float.compare a.(x) a.(i31 + 2) < 0 then i31 + 2 else x
+  end
+  else if i31 + 1 < l && Float.compare a.(i31) a.(i31 + 1) < 0 then i31 + 1
+  else if i31 < l then i31
+  else -1
+
+(* The stdlib's [Array.sort] (a ternary heap sort) step for step, with its
+   recursive sifts written as loops over an unboxed float and its [Bottom]
+   exception as [maxson]'s -1. *)
+let sort_floats (a : float array) =
+  let n = Array.length a in
+  for top = ((n + 1) / 3) - 1 downto 0 do
+    let e = a.(top) in
+    let i = ref top and sifting = ref true in
+    while !sifting do
+      let j = maxson a n !i in
+      if j >= 0 && Float.compare a.(j) e > 0 then begin
+        a.(!i) <- a.(j);
+        i := j
+      end
+      else begin
+        a.(!i) <- e;
+        sifting := false
+      end
+    done
+  done;
+  for l = n - 1 downto 2 do
+    let e = a.(l) in
+    a.(l) <- a.(0);
+    let i = ref 0 and j = ref (maxson a l 0) in
+    while !j >= 0 do
+      a.(!i) <- a.(!j);
+      i := !j;
+      j := maxson a l !i
+    done;
+    let rising = ref true in
+    while !rising do
+      let father = (!i - 1) / 3 in
+      if Float.compare a.(father) e < 0 then begin
+        a.(!i) <- a.(father);
+        if father > 0 then i := father
+        else begin
+          a.(0) <- e;
+          rising := false
+        end
+      end
+      else begin
+        a.(!i) <- e;
+        rising := false
+      end
+    done
+  done;
+  if n > 1 then begin
+    let e = a.(1) in
+    a.(1) <- a.(0);
+    a.(0) <- e
+  end
+
+let quantile_sorted sorted q =
+  let n = Array.length sorted in
   if n = 0 then invalid_arg "Stats.quantile: empty array";
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q outside [0,1]";
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
   let position = q *. Float.of_int (n - 1) in
   let below = int_of_float (Float.floor position) in
   let above = int_of_float (Float.ceil position) in
@@ -66,6 +128,11 @@ let quantile xs q =
     let frac = position -. Float.of_int below in
     (sorted.(below) *. (1.0 -. frac)) +. (sorted.(above) *. frac)
   end
+
+let quantile xs q =
+  let sorted = Array.copy xs in
+  sort_floats sorted;
+  quantile_sorted sorted q
 
 let median xs = quantile xs 0.5
 

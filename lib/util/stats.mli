@@ -36,6 +36,16 @@ val quantile : float array -> float -> float
     statistics (type-7). Raises [Invalid_argument] on empty input or [q]
     outside [\[0,1\]]. Does not modify [xs]. *)
 
+val sort_floats : float array -> unit
+(** [sort_floats a] sorts [a] in place exactly as [Array.sort Float.compare]
+    does — the same heap sort, step for step, so even elements that compare
+    equal but differ in bits ([0.] and [-0.], NaNs) land in the same places
+    — without allocating. *)
+
+val quantile_sorted : float array -> float -> float
+(** [quantile_sorted sorted q] is {!quantile} on an array already sorted by
+    {!sort_floats}, without the copy and the sort. *)
+
 val median : float array -> float
 
 val confidence95 : float array -> float * float

@@ -285,6 +285,24 @@ let test_quantile_does_not_mutate () =
   ignore (Stats.median xs);
   Alcotest.(check (array (float 0.0))) "input untouched" [| 3.0; 1.0; 2.0 |] xs
 
+(* Values that compare equal but differ in bits (0. and -0., NaNs with
+   different payloads and signs) are where two sorting algorithms could
+   disagree; [sort_floats] must place them exactly as [Array.sort] does. *)
+let tricky_floats =
+  [
+    0.0; -0.0; 0.5; -1.0; 1.0; infinity; neg_infinity; nan;
+    Int64.float_of_bits 0x7FF8000000000001L; Int64.float_of_bits 0xFFF8000000000000L;
+  ]
+
+let test_sort_floats_matches_array_sort =
+  qtest ~count:500 "sort_floats = Array.sort Float.compare, bit for bit"
+    QCheck2.Gen.(array_size (int_range 0 60) (oneofl tricky_floats))
+    (fun xs ->
+      let expected = Array.copy xs and got = Array.copy xs in
+      Array.sort Float.compare expected;
+      Stats.sort_floats got;
+      Array.map Int64.bits_of_float expected = Array.map Int64.bits_of_float got)
+
 let test_confidence95 () =
   let samples = [| 2.0; 4.0; 6.0; 8.0 |] in
   let mean, half = Stats.confidence95 samples in
@@ -385,6 +403,77 @@ let test_forecast_window_invalid () =
   Alcotest.check_raises "window 0" (Invalid_argument "Forecast: window must be positive")
     (fun () -> ignore (Forecast.sliding_mean ~window:0 ()))
 
+
+let same_bits a b = Int64.bits_of_float a = Int64.bits_of_float b
+
+(* Streams over a small value set, so windows hold repeats and ties
+   (including 0. next to -0.). *)
+let gen_stream =
+  QCheck2.Gen.(list_size (int_range 0 80) (oneofl [ 0.0; -0.0; 0.1; 0.25; 0.5; 0.5; 1.0 ]))
+
+(* The windowed members keep their ring and scratch buffers, but must
+   predict exactly what the batch statistics say about the last-window
+   slice of the stream. *)
+let test_forecast_windows_match_stats =
+  qtest ~count:300 "sliding mean/median = Stats over the last window"
+    QCheck2.Gen.(pair gen_stream (int_range 1 25))
+    (fun (stream, window) ->
+      let mean = Forecast.sliding_mean ~fallback:0.7 ~window () in
+      let median = Forecast.sliding_median ~fallback:0.7 ~window () in
+      let seen = ref [] in
+      same_bits (Forecast.predict mean) 0.7
+      && same_bits (Forecast.predict median) 0.7
+      && List.for_all
+           (fun x ->
+             Forecast.observe mean x;
+             Forecast.observe median x;
+             seen := x :: !seen;
+             let slice =
+               Array.of_list (List.rev (List.filteri (fun i _ -> i < window) !seen))
+             in
+             same_bits (Forecast.predict mean) (Stats.mean slice)
+             && same_bits (Forecast.predict median) (Stats.median slice))
+           stream)
+
+(* [adaptive] answers with its least-MSE member (the first in bank order on
+   ties): its prediction must be bit-equal to that of a separately fed copy
+   of that member. *)
+let test_forecast_adaptive_matches_best_member =
+  qtest ~count:200 "adaptive = its lowest-MSE member, fed separately" gen_stream (fun stream ->
+      let fallback = 0.7 in
+      let ensemble = Forecast.adaptive ~fallback () in
+      let copies =
+        [|
+          Forecast.last_value ~fallback ();
+          Forecast.running_mean ~fallback ();
+          Forecast.sliding_mean ~fallback ~window:5 ();
+          Forecast.sliding_mean ~fallback ~window:10 ();
+          Forecast.sliding_mean ~fallback ~window:25 ();
+          Forecast.sliding_median ~fallback ~window:5 ();
+          Forecast.sliding_median ~fallback ~window:10 ();
+          Forecast.sliding_median ~fallback ~window:25 ();
+          Forecast.ewma ~fallback ~gain:0.1 ();
+          Forecast.ewma ~fallback ~gain:0.25 ();
+          Forecast.ewma ~fallback ~gain:0.5 ();
+          Forecast.ewma ~fallback ~gain:0.75 ();
+          Forecast.trend ~fallback ~gain:0.3 ();
+          Forecast.ar1 ~fallback ();
+        |]
+      in
+      let best () =
+        let score f = if Float.is_nan (Forecast.mse f) then infinity else Forecast.mse f in
+        let best = ref 0 in
+        Array.iteri (fun i f -> if score f < score copies.(!best) then best := i) copies;
+        copies.(!best)
+      in
+      List.map fst (Forecast.members ensemble) = Array.to_list (Array.map Forecast.name copies)
+      && same_bits (Forecast.predict ensemble) fallback
+      && List.for_all
+           (fun x ->
+             Forecast.observe ensemble x;
+             Array.iter (fun f -> Forecast.observe f x) copies;
+             same_bits (Forecast.predict ensemble) (Forecast.predict (best ())))
+           stream)
 
 let test_forecast_trend_extrapolates () =
   let f = Forecast.trend ~gain:0.5 () in
@@ -1049,6 +1138,7 @@ let () =
           Alcotest.test_case "quantile known" `Quick test_quantile_known;
           Alcotest.test_case "quantile invalid" `Quick test_quantile_invalid;
           Alcotest.test_case "quantile pure" `Quick test_quantile_does_not_mutate;
+          test_sort_floats_matches_array_sort;
           Alcotest.test_case "confidence95" `Quick test_confidence95;
           Alcotest.test_case "mae rmse" `Quick test_mae_rmse;
           Alcotest.test_case "histogram" `Quick test_histogram;
@@ -1069,6 +1159,8 @@ let () =
           Alcotest.test_case "trend extrapolates" `Quick test_forecast_trend_extrapolates;
           Alcotest.test_case "ar1 fit" `Quick test_forecast_ar1_fits_autoregression;
           Alcotest.test_case "ar1 fallback" `Quick test_forecast_ar1_before_fit;
+          test_forecast_windows_match_stats;
+          test_forecast_adaptive_matches_best_member;
         ] );
       ( "csv",
         [
