@@ -210,6 +210,15 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
       let spec = belief_spec () in
       let predictor = Predictor.make ~kind:config.evaluator spec in
       let current = Mapping.of_array ~processors:(Topology.size topo) (Skel_sim.mapping sim) in
+      (* The policy prices its candidate through [migration_stall]; the last
+         price is kept, so committing that candidate does not price it
+         again. *)
+      let priced = ref None in
+      let migration_stall target =
+        let stall = Migration.stall_seconds config.migration ~spec ~stages ~current ~target in
+        priced := Some (target, stall);
+        stall
+      in
       let ctx =
         {
           Policy.time = now;
@@ -218,8 +227,7 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
           observed_throughput = observed;
           adopted_throughput = !adopted_throughput;
           items_remaining = Skel_sim.items_total sim - completed;
-          migration_stall =
-            (fun target -> Migration.stall_seconds config.migration ~spec ~stages ~current ~target);
+          migration_stall;
           choose_best =
             (fun () ->
               match config.fix_first_on with
@@ -247,8 +255,13 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
               m "[%s] t=%.1f keep %s (observed %.3f, adopted %.3f)" scenario.Scenario.name now
                 (Mapping.to_string current) observed !adopted_throughput)
       | Policy.Remap target ->
-          let stall = Migration.stall_seconds config.migration ~spec ~stages ~current ~target in
-          let gain = Predictor.evaluate predictor target -. Predictor.evaluate predictor current in
+          let stall =
+            match !priced with
+            | Some (priced_target, stall) when Mapping.equal priced_target target -> stall
+            | _ -> migration_stall target
+          in
+          let target_rate = Predictor.evaluate predictor target in
+          let gain = target_rate -. Predictor.evaluate predictor current in
           ignore (Skel_sim.remap sim (Mapping.to_array target));
           incr adaptation_count;
           (* The committed event reaches the trace through its bus
@@ -262,7 +275,7 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
                  predicted_gain = gain;
                  migration_cost = stall;
                });
-          adopted_throughput := Predictor.evaluate predictor target;
+          adopted_throughput := target_rate;
           Log.info (fun m ->
               m "[%s] t=%.1f remap %s -> %s (gain %.3f items/s, stall %.2f s)"
                 scenario.Scenario.name now (Mapping.to_string current)
