@@ -230,52 +230,57 @@ type cost_tables = {
 }
 
 (* [Costspec]'s conventions: a non-positive time is an infinite rate, and
-   [stage_cycle_time] counts an infinite rate as 0 s. *)
-let[@inline] rate_of_time time = if time <= 0.0 then infinity else 1.0 /. time
-let time_of_rate rate = if rate = infinity then 0.0 else 1.0 /. rate
+   [stage_cycle_time] counts an infinite rate as 0 s. [rate_of_time]
+   divides by +0. rather than returning [infinity]: the same value, but
+   both branches stay unboxed floats, so the hot walk does not allocate. *)
+let[@inline] rate_of_time time = 1.0 /. if time <= 0.0 then 0.0 else time
+let[@inline] time_of_rate rate = if rate = infinity then 0.0 else 1.0 /. rate
 
 (* The lesser of two stations, as [Analytic.bottleneck]'s fold picks it. *)
 let[@inline] lower (a : float) b = if b < a then b else a
 
+(* The tables are filled by loops, not [Array.init], whose closure would
+   box every float it returns. *)
 let cost_tables (spec : Costspec.t) =
   let ns = Costspec.stages spec and np = Costspec.processors spec in
   let work = spec.Costspec.stage_work and out_bytes = spec.Costspec.output_bytes in
-  let service =
-    Array.init (ns * np * ns) (fun idx ->
-        let s = idx / (np * ns) and p = idx / ns mod np and k = (idx mod ns) + 1 in
-        let w = work.(s) in
-        time_of_rate
-          (if w <= 0.0 then infinity
-           else spec.Costspec.node_rates.(p) /. (w *. Float.of_int k)))
-  in
-  let move_out =
-    Array.init
-      (max 0 (ns - 1) * np * np)
-      (fun idx ->
-        let s = idx / (np * np) and src = idx / np mod np and dst = idx mod np in
-        time_of_rate (rate_of_time (Costspec.transfer_cost spec ~src ~dst ~bytes:out_bytes.(s))))
-  in
-  let user_out =
-    if ns = 0 then [||]
-    else
-      Array.init np (fun src ->
+  let service = Array.make (ns * np * ns) 0.0 in
+  for s = 0 to ns - 1 do
+    let w = work.(s) in
+    for p = 0 to np - 1 do
+      for k = 1 to ns do
+        service.((((s * np) + p) * ns) + k - 1) <-
+          (if w <= 0.0 then 0.0
+           else time_of_rate (spec.Costspec.node_rates.(p) /. (w *. Float.of_int k)))
+      done
+    done
+  done;
+  let move_out = Array.make (max 0 (ns - 1) * np * np) 0.0 in
+  let cheapest_out = Array.make (ns * np) infinity in
+  for s = 0 to ns - 2 do
+    for src = 0 to np - 1 do
+      for dst = 0 to np - 1 do
+        let time =
           time_of_rate
-            (rate_of_time
-               (spec.Costspec.user_latency.(src)
-               +. (out_bytes.(ns - 1) /. spec.Costspec.user_bandwidth.(src)))))
-  in
-  let cheapest_out =
-    Array.init (ns * np) (fun idx ->
-        let s = idx / np and src = idx mod np in
-        if s = ns - 1 then user_out.(src)
-        else begin
-          let least = ref infinity in
-          for dst = 0 to np - 1 do
-            least := lower !least move_out.((idx * np) + dst)
-          done;
-          !least
-        end)
-  in
+            (rate_of_time (Costspec.transfer_cost spec ~src ~dst ~bytes:out_bytes.(s)))
+        in
+        move_out.((((s * np) + src) * np) + dst) <- time;
+        cheapest_out.((s * np) + src) <- lower cheapest_out.((s * np) + src) time
+      done
+    done
+  done;
+  let user_out = Array.make np 0.0 in
+  if ns > 0 then
+    for src = 0 to np - 1 do
+      let time =
+        time_of_rate
+          (rate_of_time
+             (spec.Costspec.user_latency.(src)
+             +. (out_bytes.(ns - 1) /. spec.Costspec.user_bandwidth.(src))))
+      in
+      user_out.(src) <- time;
+      cheapest_out.(((ns - 1) * np) + src) <- time
+    done;
   { service; move_out; user_out; cheapest_out }
 
 (* Branch-and-bound DFS over assignment prefixes. Stages are assigned in
@@ -386,10 +391,10 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
       end
     end
   in
-  (* [best_score] only rises, so a child whose bound already loses is
-     dropped before it is ranked, and the best-first visit stops at the
-     first child that loses. *)
-  let loses b = prune && !have && b < !best_score in
+  (* [best_score] only rises, so a child whose bound already loses
+     ([prune && !have && bound < !best_score]) is dropped before it is
+     ranked, and the best-first visit stops at the first child that
+     loses. *)
   let rec dfs s code =
     if s = ns then leaf code
     else begin
@@ -398,7 +403,7 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
       for q = 0 to np - 1 do
         if (not canonical) || pred.(q) < 0 || count.(pred.(q)) > 0 then begin
           let w = pwork.(q) +. work.(s) in
-          let pm = lower pmin.(s) (if w <= 0.0 then infinity else rates.(q) /. w) in
+          let pm = if w <= 0.0 then pmin.(s) else lower pmin.(s) (rates.(q) /. w) in
           let sharing = count.(q) + 1 in
           let own =
             rate_of_time (service.(((base + q) * ns) + sharing - 1) +. cheapest_out.(base + q))
@@ -413,7 +418,7 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
               lower b (rate_of_time (service.((up * ns) + sharing - 1) +. move_out.((up * np) + q)))
             end
           in
-          if not (loses b) then begin
+          if not (prune && !have && b < !best_score) then begin
             (* Insertion into the best-first order; equal bounds keep
                processor order. *)
             let j = ref !n in
@@ -431,7 +436,7 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
         end
       done;
       let j = ref 0 in
-      while !j < !n && not (loses kid_bound.(base + !j)) do
+      while !j < !n && not (prune && !have && kid_bound.(base + !j) < !best_score) do
         let q = kid.(base + !j) in
         let saved = pwork.(q) in
         pwork.(q) <- saved +. work.(s);
