@@ -216,12 +216,20 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
           exit 1)
   in
   let collector = Trace_event.create () in
+  (* The per-stage table and the gantt rows read every service, which only
+     a trace subscribed to the run's bus records; the reports' own traces
+     hold completions and adaptations only. *)
+  let trace = Aspipe_grid.Trace.create () in
+  let full_trace = summary || csv_dir <> None in
   let instrument =
-    match trace_out with
-    | None -> None
-    | Some _ -> Some (fun bus -> Trace_event.attach collector bus)
+    if trace_out = None && not full_trace then None
+    else
+      Some
+        (fun bus ->
+          if full_trace then Aspipe_grid.Trace.subscribe trace bus;
+          if trace_out <> None then Trace_event.attach collector bus)
   in
-  let trace =
+  let () =
     match arrivals with
     | Some spec ->
         (* Open serving mode: the same ad-hoc grid (load step and --faults
@@ -246,8 +254,7 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
         let static = run (Autoscaler.static ()) in
         let adaptive = run ?instrument (Autoscaler.remap_on_divergence ()) in
         Format.printf "static-best-mapping : %a@." Serve.pp_report static;
-        Format.printf "adaptive            : %a@." Serve.pp_report adaptive;
-        adaptive.Serve.trace
+        Format.printf "adaptive            : %a@." Serve.pp_report adaptive
     | None ->
         let scenario = cli_scenario ~faults ~quick ~nodes ~stages ~items ~hot ~step_at () in
         (* Under a fault schedule the static mapping may never finish, so
@@ -273,8 +280,7 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
              | None -> "DNF")
              static.Baselines.completed static.Baselines.total static.Baselines.items_lost);
         let adaptive = Adaptive.run ?instrument ~scenario ~seed () in
-        Format.printf "adaptive          : %a@." Adaptive.pp_report adaptive;
-        adaptive.Adaptive.trace
+        Format.printf "adaptive          : %a@." Adaptive.pp_report adaptive
   in
   if summary then
     Aspipe_util.Render.Table.print (Aspipe_grid.Trace_stats.summary_table trace ~stages);

@@ -132,11 +132,16 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
         (Mapping.to_string initial_mapping)
         initial_search.Search.score initial_search.Search.evaluated);
 
-  (* Phase 3 & 4: execution with monitoring and adaptation. *)
+  (* Phase 3 & 4: execution with monitoring and adaptation. The report
+     trace is filled from the completion hook and the commit site, not from
+     the bus, so an unobserved run keeps the per-item emits off. *)
   let trace = Trace.create () in
   let sim =
     Skel_sim.create ~rng:sim_rng ~topo ~stages ~mapping:(Mapping.to_array initial_mapping)
-      ~input ~trace ()
+      ~input
+      ~on_completion:(fun ~item ~arrival ->
+        Trace.record_departure trace ~item ~arrival ~time:(Engine.now engine))
+      ()
   in
   let adopted_throughput = ref initial_search.Search.score in
   let last_eval_time = ref 0.0 in
@@ -262,19 +267,21 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
           in
           let target_rate = Predictor.evaluate predictor target in
           let gain = target_rate -. Predictor.evaluate predictor current in
-          ignore (Skel_sim.remap sim (Mapping.to_array target));
+          let mapping_before = Mapping.to_array current in
+          let mapping_after = Mapping.to_array target in
+          ignore (Skel_sim.remap sim mapping_after);
           incr adaptation_count;
-          (* The committed event reaches the trace through its bus
-             subscription — the bus, not the trace, is the system of
-             record. *)
+          Trace.record_adaptation trace
+            {
+              at = now;
+              mapping_before;
+              mapping_after;
+              predicted_gain = gain;
+              migration_cost = stall;
+            };
           Aspipe_obs.Bus.emit bus
             (Aspipe_obs.Event.Adaptation_committed
-               {
-                 mapping_before = Mapping.to_array current;
-                 mapping_after = Mapping.to_array target;
-                 predicted_gain = gain;
-                 migration_cost = stall;
-               });
+               { mapping_before; mapping_after; predicted_gain = gain; migration_cost = stall });
           adopted_throughput := target_rate;
           Log.info (fun m ->
               m "[%s] t=%.1f remap %s -> %s (gain %.3f items/s, stall %.2f s)"

@@ -56,6 +56,8 @@ type report = {
   scenario_name : string;
   policy_name : string;
   trace : Aspipe_grid.Trace.t;
+      (** completions and adaptations; a trace of every service and
+          transfer is attached through [?instrument] *)
   calibration : Calibration.t;
   initial_mapping : Aspipe_model.Mapping.t;
   final_mapping : Aspipe_model.Mapping.t;
@@ -84,6 +86,8 @@ val run :
     subscribed and observe the complete run: calibration samples, monitor
     readings, forecast updates, every service/transfer/completion, and each
     adaptation decision (considered / committed / rejected). Sinks are pure
-    observers — attaching them never changes the run. *)
+    observers — attaching them never changes the run. Without an [All]
+    sink the bus stays inactive and the simulator builds no per-item
+    event. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -27,15 +27,26 @@ let split_rngs seed =
   let sim = Rng.split root in
   (env, sim)
 
+(* A static run on [mapping] whose trace records completions only, from the
+   simulator's completion hook: the bus stays inactive unless a caller's
+   sink makes it so. *)
+let static_sim ~rng ~topo ~mapping ~scenario =
+  let trace = Trace.create () in
+  let engine = Topology.engine topo in
+  let sim =
+    Skel_sim.create ~rng ~topo ~stages:scenario.Scenario.stages
+      ~mapping:(Mapping.to_array mapping) ~input:scenario.Scenario.input
+      ~on_completion:(fun ~item ~arrival ->
+        Trace.record_departure trace ~item ~arrival ~time:(Aspipe_des.Engine.now engine))
+      ()
+  in
+  (sim, trace)
+
 let run_static ~label ~mapping ~scenario ~seed =
   let env_rng, sim_rng = split_rngs seed in
   let topo = Scenario.build scenario ~rng:env_rng in
   let mapping = Mapping.of_array ~processors:(Topology.size topo) mapping in
-  let trace = Trace.create () in
-  let sim =
-    Skel_sim.create ~rng:sim_rng ~topo ~stages:scenario.Scenario.stages
-      ~mapping:(Mapping.to_array mapping) ~input:scenario.Scenario.input ~trace ()
-  in
+  let sim, trace = static_sim ~rng:sim_rng ~topo ~mapping ~scenario in
   Skel_sim.run_to_completion sim;
   { label; mapping; trace; makespan = Trace.makespan trace; throughput = Trace.throughput trace }
 
@@ -127,11 +138,7 @@ let static_faulty ?max_time ~label ~mapping ~scenario ~seed () =
   let env_rng, sim_rng = split_rngs seed in
   let topo = Scenario.build scenario ~rng:env_rng in
   let mapping = Mapping.of_array ~processors:(Topology.size topo) mapping in
-  let trace = Trace.create () in
-  let sim =
-    Skel_sim.create ~rng:sim_rng ~topo ~stages:scenario.Scenario.stages
-      ~mapping:(Mapping.to_array mapping) ~input:scenario.Scenario.input ~trace ()
-  in
+  let sim, trace = static_sim ~rng:sim_rng ~topo ~mapping ~scenario in
   let status = Skel_sim.run ?max_time sim in
   {
     f_label = label;
@@ -166,11 +173,7 @@ let static_restart ?(detection_timeout = 30.0) ?(max_restarts = 3) ?max_time ~sc
     in
     let result = Predictor.choose (Predictor.make ~kind:Predictor.Analytic spec) in
     let mapping = result.Search.mapping in
-    let trace = Trace.create () in
-    let sim =
-      Skel_sim.create ~rng:sim_rng ~topo ~stages:scenario.Scenario.stages
-        ~mapping:(Mapping.to_array mapping) ~input:scenario.Scenario.input ~trace ()
-    in
+    let sim, trace = static_sim ~rng:sim_rng ~topo ~mapping ~scenario in
     let status = Skel_sim.run ?max_time sim in
     let completed = Skel_sim.items_completed sim in
     let total = Skel_sim.items_total sim in

@@ -8,7 +8,7 @@
 type outcome = {
   label : string;
   mapping : Aspipe_model.Mapping.t;  (** the static assignment used *)
-  trace : Aspipe_grid.Trace.t;
+  trace : Aspipe_grid.Trace.t;  (** the run's completions *)
   makespan : float;
   throughput : float;
 }
@@ -58,7 +58,7 @@ val clairvoyant : scenario:Scenario.t -> seed:int -> Adaptive.report
 type fault_outcome = {
   f_label : string;
   f_mapping : Aspipe_model.Mapping.t;  (** the (last) static assignment used *)
-  f_trace : Aspipe_grid.Trace.t;  (** the last phase's trace *)
+  f_trace : Aspipe_grid.Trace.t;  (** the last phase's completions *)
   completed : int;  (** items delivered in the last phase *)
   total : int;
   finish : float option;

@@ -26,10 +26,14 @@ let steady_throughput trace =
    engine runs, so every replicated stage deals from its first item. *)
 let replicated_throughput ?dispatch ~rng ~topo ~stages ~replicas ~input () =
   let trace = Trace.create () in
+  let engine = Topology.engine topo in
   let sim =
-    Skel_sim.create ?dispatch ~trace ~rng ~topo ~stages
+    Skel_sim.create ?dispatch ~rng ~topo ~stages
       ~mapping:(Array.map List.hd replicas)
-      ~input ()
+      ~input
+      ~on_completion:(fun ~item ~arrival ->
+        Trace.record_departure trace ~item ~arrival ~time:(Aspipe_des.Engine.now engine))
+      ()
   in
   Skel_sim.set_replicas sim replicas;
   Skel_sim.run_to_completion sim;

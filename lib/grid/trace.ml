@@ -35,6 +35,14 @@ let record_service t (s : service) =
 
 let record_transfer t (tr : transfer) = t.transfers <- tr :: t.transfers
 let record_completion t ~item ~time = t.completions <- (item, time) :: t.completions
+
+let record_arrival t ~item ~arrival =
+  if not (Hashtbl.mem t.arrivals item) then Hashtbl.add t.arrivals item arrival
+
+let record_departure t ~item ~arrival ~time =
+  record_completion t ~item ~time;
+  if not (Float.is_nan arrival) then record_arrival t ~item ~arrival
+
 let record_adaptation t a = t.adaptations <- a :: t.adaptations
 
 (* The trace is one sink among others on the event bus: the simulators emit
@@ -52,8 +60,7 @@ let subscribe t bus =
          | Event.Transfer { item; from_stage; src; dst; start; bytes = _ } ->
              record_transfer t { item; from_stage; src; dst; start; finish = event.time }
          | Event.Completion { item } -> record_completion t ~item ~time:event.time
-         | Event.Sojourn { item; arrival } ->
-             if not (Hashtbl.mem t.arrivals item) then Hashtbl.add t.arrivals item arrival
+         | Event.Sojourn { item; arrival } -> record_arrival t ~item ~arrival
          | Event.Adaptation_committed
              { mapping_before; mapping_after; predicted_gain; migration_cost } ->
              record_adaptation t

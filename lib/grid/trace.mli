@@ -1,9 +1,19 @@
-(** Execution traces: everything the simulated pipeline emits.
+(** Execution traces: what the simulated pipeline did.
 
     The trace is both the measurement instrument (throughput, completion
     time, per-stage service samples feed the experiments) and the
     observability channel the adaptive engine itself uses (windowed output
-    rate). *)
+    rate).
+
+    A trace is {e full} when it is {!subscribe}d to a run's bus: it then
+    records every service, transfer, completion, sojourn stamp and
+    adaptation ({!Aspipe_skel.Skel_sim.create}'s [~trace], or a caller's own
+    trace attached through [?instrument] of an adaptive or serving run).
+    The report trace of the adaptive, serving and static-baseline runs is
+    {e not} full: the run fills it from the simulator's completion hook and
+    its own commit site, so it holds completions, open-arrival stamps and adaptations only,
+    and {!services}, {!transfers} and closed-stream {!sojourns} are empty on
+    it. *)
 
 type service = { item : int; stage : int; node : int; start : float; finish : float }
 type transfer = { item : int; from_stage : int; src : int; dst : int; start : float; finish : float }
@@ -22,15 +32,23 @@ val create : unit -> t
 val record_service : t -> service -> unit
 val record_transfer : t -> transfer -> unit
 val record_completion : t -> item:int -> time:float -> unit
+
+val record_departure : t -> item:int -> arrival:float -> time:float -> unit
+(** One departure as the simulator's completion hook reports it: [item]
+    completes at [time], and [arrival] is its open-arrival stamp, from
+    which {!sojourns} measures, or [nan] on a closed stream. *)
+
 val record_adaptation : t -> adaptation -> unit
 
 val subscribe : t -> Aspipe_obs.Bus.t -> unit
 (** Attach this trace as a sink on an event bus: [Service_finish],
     [Transfer], [Completion] and [Adaptation_committed] events are
-    translated into the corresponding records (other events are ignored).
-    The simulator's [create] ({!Aspipe_skel.Skel_sim.create}) does this
-    automatically, making the bus the single trace writer while the trace
-    keeps its classic shape. *)
+    translated into the corresponding records, and [Sojourn] events into
+    open-arrival stamps (other events are ignored). The simulator's
+    [create] ({!Aspipe_skel.Skel_sim.create}) does this for the trace passed
+    as [~trace]; the caller of an adaptive or serving run does it through
+    the run's [?instrument]. The subscription has [All] interest, so it switches the
+    per-item emits on. *)
 
 val completions : t -> (int * float) array
 (** (item, departure time), in departure order. *)

@@ -180,17 +180,21 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
         (Predictor.evaluate initial_predictor initial_mapping)
         provision_rate);
 
-  (* Execution: open stream, latency stamped per item. *)
+  (* Execution: open stream, latency stamped per item. The report trace is
+     filled from the completion hook and the commit site, not from the bus,
+     so an unobserved run keeps the per-item emits off. *)
   let trace = Trace.create () in
   let meter = Slo.create slo in
   let window_sojourns = ref [] in
-  let on_completion ~item:_ ~arrival:stamp =
-    let sojourn = Engine.now engine -. stamp in
+  let on_completion ~item ~arrival =
+    let now = Engine.now engine in
+    Trace.record_departure trace ~item ~arrival ~time:now;
+    let sojourn = now -. arrival in
     Slo.observe meter ~sojourn;
     window_sojourns := sojourn :: !window_sojourns
   in
   let sim =
-    Skel_sim.create ?queue_capacity:config.queue_capacity ~trace ~arrivals:`External
+    Skel_sim.create ?queue_capacity:config.queue_capacity ~arrivals:`External
       ~on_completion ~rng:sim_rng ~topo ~stages
       ~mapping:(Mapping.to_array initial_mapping)
       ~input ()
@@ -312,6 +316,15 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
       let spec = belief_spec () in
       let predictor = Predictor.make ~kind:config.evaluator spec in
       let current = Mapping.of_array ~processors (Skel_sim.mapping sim) in
+      (* The policy prices its candidate through [migration_stall]; the last
+         price is kept, so committing that candidate does not price it
+         again. *)
+      let priced = ref None in
+      let migration_stall target =
+        let stall = Migration.stall_seconds config.migration ~spec ~stages ~current ~target in
+        priced := Some (target, stall);
+        stall
+      in
       let ctx =
         {
           Policy.time = now;
@@ -324,8 +337,7 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
              amortization horizon. *)
           items_remaining =
             backlog () + int_of_float (Float.ceil (arrival_rate *. config.amortize_horizon));
-          migration_stall =
-            (fun target -> Migration.stall_seconds config.migration ~spec ~stages ~current ~target);
+          migration_stall;
           choose_best =
             (fun () ->
               match config.fix_first_on with
@@ -360,20 +372,30 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
             (Aspipe_obs.Event.Adaptation_rejected
                { mapping = Mapping.to_array current; observed_throughput = observed })
       | Policy.Remap target ->
-          let stall = Migration.stall_seconds config.migration ~spec ~stages ~current ~target in
-          let gain = Predictor.evaluate predictor target -. Predictor.evaluate predictor current in
-          adopt_mapping (Mapping.to_array target);
-          ignore (Skel_sim.remap sim (Mapping.to_array target));
+          let stall =
+            match !priced with
+            | Some (priced_target, stall) when Mapping.equal priced_target target -> stall
+            | _ -> migration_stall target
+          in
+          let target_rate = Predictor.evaluate predictor target in
+          let gain = target_rate -. Predictor.evaluate predictor current in
+          let mapping_before = Mapping.to_array current in
+          let mapping_after = Mapping.to_array target in
+          adopt_mapping mapping_after;
+          ignore (Skel_sim.remap sim mapping_after);
           incr adaptation_count;
+          Trace.record_adaptation trace
+            {
+              at = now;
+              mapping_before;
+              mapping_after;
+              predicted_gain = gain;
+              migration_cost = stall;
+            };
           Aspipe_obs.Bus.emit bus
             (Aspipe_obs.Event.Adaptation_committed
-               {
-                 mapping_before = Mapping.to_array current;
-                 mapping_after = Mapping.to_array target;
-                 predicted_gain = gain;
-                 migration_cost = stall;
-               });
-          adopted_throughput := Predictor.evaluate predictor target;
+               { mapping_before; mapping_after; predicted_gain = gain; migration_cost = stall });
+          adopted_throughput := target_rate;
           Log.info (fun m ->
               m "[%s/%s] t=%.1f remap %s -> %s (%d in flight, p99 %.2fs)"
                 scenario.Scenario.name (Autoscaler.name autoscaler) now

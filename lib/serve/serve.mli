@@ -44,6 +44,8 @@ type report = {
   scenario_name : string;
   autoscaler_name : string;
   trace : Aspipe_grid.Trace.t;
+      (** completions, open-arrival stamps and adaptations; a trace of every
+          service and transfer is attached through [?instrument] *)
   slo : Slo.spec;
   windows : Slo.window_stats list;
   attainment : float;  (** fraction of SLO windows attained; [nan] if none *)
@@ -86,6 +88,10 @@ val run :
     predicted to cover [provision_rate × headroom]; [`Best] starts on the
     throughput-maximal mapping (the over-provisioned baseline).
     [max_items] bounds total arrivals (for embedded closed streams).
-    Deterministic for fixed seed and configuration. *)
+    Deterministic for fixed seed and configuration.
+
+    [instrument] is called with the run's event bus before calibration.
+    Without it the bus stays inactive and the simulator builds no per-item
+    event; sinks are pure observers and never change the report. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -62,7 +62,6 @@ type t = {
   rng : Rng.t;
   dispatch : dispatch;
   stages : stage_state array;
-  work_table : (int * int, float) Hashtbl.t;
   work_seed : int;
   input : Stream_spec.t;
   queue_capacity : int option;  (* per-stage buffer bound; None = unbounded *)
@@ -96,15 +95,12 @@ let check_mapping topo stages mapping =
    or adaptation schedule. Comparisons across strategies are therefore paired
    on an identical workload realization, and migrating a stage never re-rolls
    the work its queued items will cost. The same keying makes a re-dispatched
-   item cost what its lost first attempt did. *)
+   item cost what its lost first attempt did. The draw is a pure function of
+   (item, stage), so it is re-derived rather than kept in a table that would
+   grow with every item served. *)
 let work_for t ~item ~stage =
-  match Hashtbl.find_opt t.work_table (item, stage) with
-  | Some w -> w
-  | None ->
-      let keyed = Rng.create (t.work_seed lxor (item * 0x9E3779) lxor (stage * 0x85EB51)) in
-      let w = Float.max 0.0 (Variate.sample keyed t.stages.(stage).spec.Stage.work) in
-      Hashtbl.add t.work_table (item, stage) w;
-      w
+  let keyed = Rng.create (t.work_seed lxor (item * 0x9E3779) lxor (stage * 0x85EB51)) in
+  Float.max 0.0 (Variate.sample keyed t.stages.(stage).spec.Stage.work)
 
 (* Payload bytes a queued item of stage [si] carries during a move, a
    migration or a checkpoint re-dispatch: the upstream stage's output (or
@@ -114,7 +110,8 @@ let queued_item_bytes t si =
   else t.stages.(si - 1).spec.Stage.output_bytes
 
 (* The completion bookkeeping of both last-stage kinds: [item]'s output has
-   reached the user. *)
+   reached the user. The [on_completion] hook fires on every departure, so a
+   controller can keep its report without keeping the bus active. *)
 let complete t item =
   t.completed <- t.completed + 1;
   if Bus.active t.bus then Bus.emit t.bus (Event.Completion { item });
@@ -126,6 +123,7 @@ let complete t item =
         (match t.on_completion with Some f -> f ~item ~arrival | None -> ())
     | None -> ()
   end
+  else match t.on_completion with Some f -> f ~item ~arrival:nan | None -> ()
 
 (* Round-robin deals eagerly (equal shares, the classic deal); least-loaded
    is demand-driven: an item is only dealt when some replica has fewer than
@@ -477,7 +475,6 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion
               next_release = 0;
             })
           stages;
-      work_table = Hashtbl.create 1024;
       work_seed = Int64.to_int (Rng.bits64 rng) land max_int;
       input;
       queue_capacity;

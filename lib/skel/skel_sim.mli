@@ -89,8 +89,11 @@ val create :
     a delivery to a full stage parks, holding the upstream sender busy —
     with capacity 1 the pipeline approaches the bufferless synchronization
     of the CTMC model. [trace], when given, is subscribed to the engine bus
-    as a full-stream sink; without it (or any other such sink) the run is
-    unobserved and the hot path emits no event payloads at all.
+    as a full-stream sink and so records the full run: every service,
+    transfer, completion and sojourn. Without it (or any other such sink)
+    the run is unobserved and the hot path emits no event payloads at all;
+    the adaptive and serving controllers run this way and keep their
+    report from [on_completion].
 
     [arrivals] selects the stream model. The default, [`From_input],
     schedules the closed stream described by [input] up front, exactly as
@@ -99,9 +102,12 @@ val create :
     lazily self-rescheduling {e arrival process} living on the same
     engine), every injected item is stamped with its arrival instant, and
     each departure emits an {!Aspipe_obs.Event.Sojourn} carrying that stamp
-    — latency becomes a first-class output. [on_completion], fired after
-    the emit, lets a serving driver account SLO windows without paying a
-    bus subscription on closed runs.
+    — latency becomes a first-class output.
+
+    [on_completion] fires once at every departure, after its emits, on
+    either stream model: [arrival] is the item's open-arrival stamp, and
+    [nan] on a closed stream. It lets a controller record completions and
+    account SLO windows without a full-stream bus subscription.
 
     [mapping] places each stage on one node; {!set_replicas} replicates
     stages. [dispatch] (default [Least_loaded]) is the deal of every

@@ -4,7 +4,11 @@
     high-quality 64-bit streams with a tiny state. Every stochastic component
     of the simulator takes an explicit [Rng.t] so whole experiments are
     reproducible from a single integer seed, and [split] derives statistically
-    independent child streams for concurrent components. *)
+    independent child streams for concurrent components.
+
+    The state is one 32-byte buffer, so {!create}, {!copy} and {!split}
+    allocate only that, and a {!float}, {!int} or {!bool} draw allocates
+    nothing. *)
 
 type t
 

@@ -302,6 +302,118 @@ let test_meter_counts_completions () =
       Alcotest.(check bool) "service-time histograms present" true
         (List.mem_assoc "stage.0.service_time" snapshot.Metrics.histograms)
 
+(* ------------------------------------------- bare and instrumented runs *)
+
+(* The controllers fill their report traces from the simulator's completion
+   hook and their own commit site, not from the bus: a run with a JSONL sink
+   attached must report exactly what a bare run does, and a bare run must
+   never switch the per-item emits on. *)
+
+module Serve = Aspipe_serve.Serve
+module Baselines = Aspipe_core.Baselines
+
+let jsonl_instrument bus = ignore (Bus.subscribe bus (Jsonl.sink_to_buffer (Buffer.create 4096)))
+
+(* A Control sink that records whether the bus was ever active when an
+   event was emitted, and whether any per-item payload was built. *)
+let silence_probe () =
+  let active = ref false and per_item = ref 0 in
+  let attach bus =
+    ignore
+      (Bus.subscribe ~interest:Bus.Control bus (fun (e : Event.t) ->
+           if Bus.active bus then active := true;
+           match e.Event.payload with
+           | Event.Service_start _ | Event.Service_finish _ | Event.Transfer _
+           | Event.Completion _ | Event.Sojourn _ | Event.Queue_sample _ ->
+               incr per_item
+           | _ -> ()))
+  in
+  (attach, active, per_item)
+
+let check_same_trace label a b =
+  Alcotest.(check int) (label ^ ": items completed") (Trace.items_completed a)
+    (Trace.items_completed b);
+  Alcotest.(check bool) (label ^ ": completions") true (Trace.completions a = Trace.completions b);
+  Alcotest.(check bool) (label ^ ": throughput series") true
+    (Trace.throughput_series a ~window:5.0 = Trace.throughput_series b ~window:5.0);
+  Alcotest.(check bool) (label ^ ": adaptations") true (Trace.adaptations a = Trace.adaptations b)
+
+let test_adaptive_bare_equals_instrumented () =
+  let bare = Adaptive.run ~scenario:(small_scenario ()) ~seed:5 () in
+  let observed =
+    Adaptive.run ~instrument:jsonl_instrument ~scenario:(small_scenario ()) ~seed:5 ()
+  in
+  Alcotest.(check bool) "the run adapts" true (Trace.adaptations bare.Adaptive.trace <> []);
+  check_same_trace "adaptive" bare.Adaptive.trace observed.Adaptive.trace;
+  Alcotest.(check int) "each completion recorded once" 60
+    (Trace.items_completed observed.Adaptive.trace)
+
+let serve_scenario () =
+  Scenario.make ~name:"obs-serve"
+    ~make_topo:(fun engine ->
+      Aspipe_grid.Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+    ~loads:[ (0, Aspipe_grid.Loadgen.Step { at = 40.0; level = 0.2 }) ]
+    ~stages:(Aspipe_workload.Synthetic.hot_stage ~n:3 ~factor:2.0 ())
+    ~input:(Aspipe_skel.Stream_spec.make ~items:1 ())
+    ~horizon:150.0 ()
+
+let serve_run ?instrument () =
+  Serve.run ?instrument ~initial:`Best
+    ~autoscaler:(Aspipe_serve.Autoscaler.remap_on_divergence ())
+    ~arrival:(Aspipe_serve.Arrival.poisson ~rate:1.5)
+    ~slo:(Aspipe_serve.Slo.spec ~target_quantile:0.95 ~threshold:6.0 ~window:30.0)
+    ~scenario:(serve_scenario ()) ~seed:3 ()
+
+let test_serve_bare_equals_instrumented () =
+  let bare = serve_run () and observed = serve_run ~instrument:jsonl_instrument () in
+  Alcotest.(check bool) "the run serves" true (bare.Serve.completions > 0);
+  Alcotest.(check bool) "the run adapts" true (Trace.adaptations bare.Serve.trace <> []);
+  check_same_trace "serve" bare.Serve.trace observed.Serve.trace;
+  Alcotest.(check int) "each completion recorded once" observed.Serve.completions
+    (Trace.items_completed observed.Serve.trace);
+  let bits x = Int64.bits_of_float x in
+  Alcotest.(check int64) "p50" (bits bare.Serve.p50) (bits observed.Serve.p50);
+  Alcotest.(check int64) "p99" (bits bare.Serve.p99) (bits observed.Serve.p99);
+  Alcotest.(check int64) "mean sojourn" (bits bare.Serve.mean_sojourn)
+    (bits observed.Serve.mean_sojourn);
+  Alcotest.(check bool) "windows" true (bare.Serve.windows = observed.Serve.windows)
+
+(* [Baselines.run_static] takes no [?instrument]: the sink is attached to
+   the run's bus as the scenario builds its topology. *)
+let test_static_bare_equals_instrumented () =
+  let scenario ~instrumented =
+    Scenario.make ~name:"obs-static"
+      ~make_topo:(fun engine ->
+        if instrumented then jsonl_instrument (Aspipe_des.Engine.bus engine);
+        Aspipe_grid.Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+      ~stages:(Aspipe_workload.Synthetic.hot_stage ~n:4 ~factor:3.0 ())
+      ~input:
+        (Aspipe_skel.Stream_spec.make ~arrival:(Aspipe_skel.Stream_spec.Spaced 0.3) ~items:60 ())
+      ()
+  in
+  let run instrumented =
+    Baselines.run_static ~label:"static" ~mapping:[| 0; 1; 2; 0 |]
+      ~scenario:(scenario ~instrumented) ~seed:5
+  in
+  let bare = run false and observed = run true in
+  check_same_trace "static" bare.Baselines.trace observed.Baselines.trace;
+  Alcotest.(check int) "each completion recorded once" 60
+    (Trace.items_completed observed.Baselines.trace)
+
+let test_bare_runs_keep_the_bus_silent () =
+  let attach, active, per_item = silence_probe () in
+  let adaptive = Adaptive.run ~instrument:attach ~scenario:(small_scenario ()) ~seed:5 () in
+  Alcotest.(check bool) "adaptive: bus never active" false !active;
+  Alcotest.(check int) "adaptive: no per-item payload" 0 !per_item;
+  Alcotest.(check int) "adaptive: report still complete" 60
+    (Trace.items_completed adaptive.Adaptive.trace);
+  let attach, active, per_item = silence_probe () in
+  let served = serve_run ~instrument:attach () in
+  Alcotest.(check bool) "serve: bus never active" false !active;
+  Alcotest.(check int) "serve: no per-item payload" 0 !per_item;
+  Alcotest.(check int) "serve: report still complete" served.Serve.completions
+    (Trace.items_completed served.Serve.trace)
+
 (* Golden determinism test for the meter-ordering fix: utilization gauges
    register in sorted node order, so the rendered snapshot cannot depend on
    the order nodes first appear in the event stream (hash order). *)
@@ -364,5 +476,16 @@ let () =
           Alcotest.test_case "meter counts" `Quick test_meter_counts_completions;
           Alcotest.test_case "meter snapshot order-independent" `Quick
             test_meter_snapshot_order_independent;
+        ] );
+      ( "bare runs",
+        [
+          Alcotest.test_case "adaptive: bare = instrumented" `Quick
+            test_adaptive_bare_equals_instrumented;
+          Alcotest.test_case "serve: bare = instrumented" `Quick
+            test_serve_bare_equals_instrumented;
+          Alcotest.test_case "static: bare = instrumented" `Quick
+            test_static_bare_equals_instrumented;
+          Alcotest.test_case "bare runs keep the bus silent" `Quick
+            test_bare_runs_keep_the_bus_silent;
         ] );
     ]

@@ -79,6 +79,100 @@ let test_rng_int_bounds =
       let x = Rng.int rng bound in
       x >= 0 && x < bound)
 
+(* The record-of-mutable-int64 generator the Bytes-backed [Rng] replaced,
+   kept verbatim as the bit-for-bit reference for its streams. *)
+module Rng_reference = struct
+  type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+
+  let splitmix64 state =
+    let open Int64 in
+    state := add !state 0x9E3779B97F4A7C15L;
+    let z = !state in
+    let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+    let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
+    logxor z (shift_right_logical z 31)
+
+  let of_state state =
+    let s0 = splitmix64 state in
+    let s1 = splitmix64 state in
+    let s2 = splitmix64 state in
+    let s3 = splitmix64 state in
+    { s0; s1; s2; s3 }
+
+  let create seed = of_state (ref (Int64.of_int seed))
+  let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+  let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let bits64 t =
+    let open Int64 in
+    let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
+    let tmp = shift_left t.s1 17 in
+    t.s2 <- logxor t.s2 t.s0;
+    t.s3 <- logxor t.s3 t.s1;
+    t.s1 <- logxor t.s1 t.s2;
+    t.s0 <- logxor t.s0 t.s3;
+    t.s2 <- logxor t.s2 tmp;
+    t.s3 <- rotl t.s3 45;
+    result
+
+  let split t = of_state (ref (bits64 t))
+  let float t = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) *. 0x1p-53
+
+  let int t n =
+    let n64 = Int64.of_int n in
+    let rec draw () =
+      let bits = Int64.shift_right_logical (bits64 t) 1 in
+      let value = Int64.rem bits n64 in
+      if Int64.sub bits value > Int64.sub Int64.max_int (Int64.sub n64 1L) then draw ()
+      else Int64.to_int value
+    in
+    draw ()
+end
+
+type rng_op = Bits | Float | Int of int | Split | Copy
+
+(* Each step returns what both generators drew, as int64s; [Split] and
+   [Copy] draw once from the parent and carry on with the child, so parent
+   and child streams are both pinned. *)
+let test_rng_matches_reference =
+  let op =
+    QCheck2.Gen.(
+      oneof
+        [
+          pure Bits;
+          pure Float;
+          map (fun n -> Int n) (int_range 1 1000);
+          map (fun n -> Int n) (int_range 1 max_int);
+          pure Split;
+          pure Copy;
+        ])
+  in
+  qtest ~count:300 "Rng = the record generator, bit for bit"
+    QCheck2.Gen.(pair int (list_size (int_range 0 60) op))
+    (fun (seed, ops) ->
+      let step (a, b) = function
+        | Bits -> ((a, b), (Rng.bits64 a, Rng_reference.bits64 b))
+        | Float ->
+            ( (a, b),
+              (Int64.bits_of_float (Rng.float a), Int64.bits_of_float (Rng_reference.float b)) )
+        | Int n -> ((a, b), (Int64.of_int (Rng.int a n), Int64.of_int (Rng_reference.int b n)))
+        | Split ->
+            let a' = Rng.split a and b' = Rng_reference.split b in
+            ((a', b'), (Rng.bits64 a, Rng_reference.bits64 b))
+        | Copy ->
+            let a' = Rng.copy a and b' = Rng_reference.copy b in
+            ((a', b'), (Rng.bits64 a, Rng_reference.bits64 b))
+      in
+      let _, agree =
+        List.fold_left
+          (fun (gens, agree) op ->
+            let gens, (x, y) = step gens op in
+            (gens, agree && Int64.equal x y))
+          ((Rng.create seed, Rng_reference.create seed), true)
+          ops
+      in
+      agree)
+
 let test_rng_int_invalid () =
   let rng = Rng.create 1 in
   Alcotest.check_raises "bound 0 rejected" (Invalid_argument "Rng.int: bound must be positive")
@@ -1108,6 +1202,7 @@ let () =
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "float mean" `Slow test_rng_float_mean;
           test_rng_int_bounds;
+          test_rng_matches_reference;
           Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
           test_rng_shuffle_permutes;
           Alcotest.test_case "pick" `Quick test_rng_pick;
